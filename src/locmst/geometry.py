@@ -23,11 +23,6 @@ class NoAdmissibleAError(ValueError):
     """No grid resolution exists in the admissible side-parameter window."""
 
 
-def dist(p, q) -> float:
-    """Euclidean distance between two points given as (x, y) pairs."""
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle, half-open: [xmin, xmax) x [ymin, ymax)."""

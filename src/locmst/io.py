@@ -12,13 +12,10 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import BoundsResult
 from .experiments import ScalingFit
 from .mst import MstResult
 from .sampling import PointSet
-from .weights import HotspotLayout
 
 ARTIFACT_VERSION = 1
 
@@ -77,27 +74,6 @@ def point_set_to_csv(ps: PointSet, config: RunConfig | None = None) -> str:
     for i, (x, y) in enumerate(ps.coords):
         lines.append(f"{i},{fmt_float(x)},{fmt_float(y)}")
     return "\n".join(lines) + "\n"
-
-
-def point_set_to_json(ps: PointSet, config: RunConfig | None = None) -> str:
-    payload = {
-        "n": ps.n,
-        "seed": ps.seed,
-        "process": ps.process,
-        "points": [[float(x), float(y)] for x, y in ps.coords],
-    }
-    return envelope("point_set", config, payload)
-
-
-def point_set_from_csv(text: str) -> PointSet:
-    coords = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("index"):
-            continue
-        _, x, y = line.split(",")
-        coords.append((float(x), float(y)))
-    return PointSet(np.asarray(coords, dtype=float).reshape(-1, 2))
 
 
 def mst_result_to_json(
@@ -177,10 +153,6 @@ def bounds_to_json(results, config: RunConfig | None = None) -> str:
     else:
         payload = [one(r) for r in results]
     return envelope("bounds", config, payload)
-
-
-def layout_to_json(layout: HotspotLayout, config: RunConfig | None = None) -> str:
-    return envelope("hotspot_layout", config, layout.to_jsonable())
 
 
 def write_text(path, content: str) -> None:

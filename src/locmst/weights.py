@@ -90,27 +90,6 @@ class HotspotLayout:
     def central_cells(self) -> list[Rect]:
         return [lv.central for lv in self.levels]
 
-    def to_jsonable(self) -> dict:
-        def rect(r: Rect) -> list[float]:
-            return [r.xmin, r.ymin, r.xmax, r.ymax]
-
-        return {
-            "K": self.K,
-            "D": self.D,
-            "levels": [
-                {
-                    "index": lv.index,
-                    "n_level": lv.n_level,
-                    "q": lv.q,
-                    "cell_side": lv.cell_side,
-                    "big": rect(lv.big),
-                    "inner": rect(lv.inner),
-                    "cells": [rect(c) for c in lv.cells],
-                }
-                for lv in self.levels
-            ],
-        }
-
 
 def level_scale_constant(K: int) -> int:
     """Smallest integer D with 10*(2K-1)*zeta(3/2)/sqrt(D) <= 1."""
@@ -263,61 +242,54 @@ def pair_weight(spec: WeightSpec, u, v) -> float:
     return (spec.c1 if cheap.any() else spec.c2) * d
 
 
+def row_weight_fn(spec: WeightSpec, coords: np.ndarray):
+    """Callable (i, j=all points) -> base weights h(x_i, x_j), elementwise.
+
+    ``row(k)`` is the whole row of point k, for matrix-free tree growth;
+    ``row(i, j)`` with index arrays gives the weights of those pairs.  The
+    arguments broadcast like numpy indices.  Every weight is
+    sqrt(dx*dx + dy*dy) followed by ``+ 0.5 * |r_i - r_j|`` (shifted) or
+    ``* c`` (hotspot), in exactly this operation order, the one
+    ``pair_weight`` uses too, so all solvers see bit-identical weights.
+    """
+    coords = np.asarray(coords, dtype=float)
+    xs, ys = coords[:, 0].copy(), coords[:, 1].copy()
+
+    def dist(i, j) -> np.ndarray:
+        dx = xs[j] - xs[i]
+        dy = ys[j] - ys[i]
+        return np.sqrt(dx * dx + dy * dy)
+
+    if spec.kind == "euclidean":
+
+        def row(i, j=slice(None)) -> np.ndarray:
+            return dist(i, j)
+
+    elif spec.kind == "shifted":
+        r = _radii(spec, coords)
+
+        def row(i, j=slice(None)) -> np.ndarray:
+            return dist(i, j) + 0.5 * np.abs(r[j] - r[i])
+
+    else:
+        cheap = in_central_cells(spec, coords)
+        c1, c2 = spec.c1, spec.c2
+
+        def row(i, j=slice(None)) -> np.ndarray:
+            return dist(i, j) * np.where(cheap[i] | cheap[j], c1, c2)
+
+    return row
+
+
 def weight_matrix(spec: WeightSpec, coords: np.ndarray) -> np.ndarray:
     """Dense (n, n) base-weight matrix with a zero diagonal."""
-    coords = np.asarray(coords, dtype=float)
-    diff = coords[:, None, :] - coords[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
-    if spec.kind == "euclidean":
-        return d
-    if spec.kind == "shifted":
-        r = _radii(spec, coords)
-        w = d + 0.5 * np.abs(r[:, None] - r[None, :])
-        np.fill_diagonal(w, 0.0)
-        return w
-    cheap = in_central_cells(spec, coords)
-    factor = np.where(cheap[:, None] | cheap[None, :], spec.c1, spec.c2)
-    return d * factor
+    return row_weight_fn(spec, coords)(np.s_[:, None], np.s_[:])
 
 
 def _radii(spec: WeightSpec, coords: np.ndarray) -> np.ndarray:
     px = coords[:, 0] - spec.origin[0]
     py = coords[:, 1] - spec.origin[1]
     return np.sqrt(px * px + py * py)
-
-
-def _dist_rows(xs: np.ndarray, ys: np.ndarray, k: int) -> np.ndarray:
-    dx = xs - xs[k]
-    dy = ys - ys[k]
-    return np.sqrt(dx * dx + dy * dy)
-
-
-def row_weight_fn(spec: WeightSpec, coords: np.ndarray):
-    """Callable k -> base-weight row h(x_k, .), for matrix-free tree growth."""
-    coords = np.asarray(coords, dtype=float)
-    xs, ys = coords[:, 0].copy(), coords[:, 1].copy()
-    if spec.kind == "euclidean":
-
-        def row(k: int) -> np.ndarray:
-            return _dist_rows(xs, ys, k)
-
-    elif spec.kind == "shifted":
-        r = _radii(spec, coords)
-
-        def row(k: int) -> np.ndarray:
-            return _dist_rows(xs, ys, k) + 0.5 * np.abs(r - r[k])
-
-    else:
-        cheap = in_central_cells(spec, coords)
-        c1, c2 = spec.c1, spec.c2
-
-        def row(k: int) -> np.ndarray:
-            d = _dist_rows(xs, ys, k)
-            if cheap[k]:
-                return d * c1
-            return d * np.where(cheap, c1, c2)
-
-    return row
 
 
 def equivalence_audit(

@@ -3,9 +3,11 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from locmst.cli import main
+from locmst.sampling import PointSet
 
 
 def run_cli(*argv):
@@ -83,6 +85,16 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli("simulate", "--kind", "manhattan", "--n", "10")
         assert exc.value.code == 2
+
+    def test_non_finite_points_exit_2(self, monkeypatch, capsys):
+        def nan_sampler(n, density, seed):
+            coords = np.random.default_rng(seed).random((n, 2))
+            coords[1, 0] = np.nan
+            return PointSet(coords)
+
+        monkeypatch.setattr("locmst.cli.sample_binomial", nan_sampler)
+        assert run_cli("simulate", "--n", "200") == 2
+        assert "point 1 is not finite" in capsys.readouterr().err
 
 
 class TestStudyCommands:

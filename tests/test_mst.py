@@ -16,10 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from locmst.mst import (
     DuplicatePointsError,
+    InvalidCoordinatesError,
     InvalidKError,
     TooLargeForBruteForceError,
     alpha_invariance_check,
     minimum_spanning_tree,
+    mst_bands,
     mst_brute_force,
     mst_kruskal,
     mst_prim_dense,
@@ -31,8 +33,9 @@ from locmst.mst import (
     verify_cut_property,
     verify_path_criterion,
 )
-from locmst.mst import SpecMissingPropertyError
+from locmst.mst import _KRUSKAL_MAX_N, SpecMissingPropertyError
 from locmst.weights import (
+    WeightSpec,
     euclidean_spec,
     hotspot_spec,
     pair_weight,
@@ -149,23 +152,142 @@ def test_two_points_squared_weight():
     assert r.total_weight(2.0) == pytest.approx(0.25)
 
 
+SOLVERS = (mst_prim_dense, mst_kruskal, mst_bands, mst_brute_force)
+
+
 def test_trivial_sizes():
     spec = euclidean_spec()
-    empty = minimum_spanning_tree(spec, np.empty((0, 2)))
-    assert empty.n == 0 and len(empty.edge_i) == 0
-    assert empty.total_weight(1.0) == 0.0
-    single = minimum_spanning_tree(spec, np.array([[0.5, 0.5]]))
-    assert single.n == 1 and len(single.edge_i) == 0
-    assert single.max_degree == 0
+    for solver in SOLVERS + (minimum_spanning_tree,):
+        empty = solver(spec, np.empty((0, 2)))
+        assert empty.n == 0 and len(empty.edge_i) == 0
+        assert empty.total_weight(1.0) == 0.0
+        single = solver(spec, np.array([[0.5, 0.5]]))
+        assert single.n == 1 and len(single.edge_i) == 0
+        assert single.max_degree == 0
 
 
 def test_duplicate_points_rejected_by_every_solver():
     pts = np.array([[0.1, 0.2], [0.5, 0.5], [0.1, 0.2], [0.9, 0.1]])
     spec = euclidean_spec()
-    for solver in (mst_prim_dense, mst_kruskal, mst_brute_force):
+    for solver in SOLVERS:
         with pytest.raises(DuplicatePointsError) as err:
             solver(spec, pts)
         assert set(err.value.indices) == {0, 2}
+        assert isinstance(err.value, InvalidCoordinatesError)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize(
+    "solver", SOLVERS + (minimum_spanning_tree, alpha_invariance_check)
+)
+@pytest.mark.parametrize("kind", KINDS)
+def test_non_finite_coordinates_raise_typed_error(kind, solver, bad):
+    # NaN used to reach Prim as a bare IndexError and Kruskal as a NaN
+    # edge weight; inf made Prim return the edge (-1, -1); 1e200 makes
+    # squared distances overflow to inf
+    for n in (5, 200):
+        if solver is mst_brute_force and n > 5:
+            continue
+        pts = np.random.default_rng(n).random((n, 2))
+        pts[n // 2, 1] = bad
+        with pytest.raises(InvalidCoordinatesError, match=f"point {n // 2} "):
+            solver(spec_from_kind(kind), pts)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_malformed_coordinate_arrays_raise_typed_error(solver):
+    spec = euclidean_spec()
+    for pts in (np.zeros(4), np.random.default_rng(0).random((4, 3)), [[[0.5]]]):
+        with pytest.raises(InvalidCoordinatesError, match="shape"):
+            solver(spec, pts)
+
+
+def assert_same_tree(got, want):
+    """Same edges in the same order, and bit-identical base weights."""
+    assert got.n == want.n
+    np.testing.assert_array_equal(got.edge_i, want.edge_i)
+    np.testing.assert_array_equal(got.edge_j, want.edge_j)
+    np.testing.assert_array_equal(got.base_weights, want.base_weights)
+
+
+# Input families for the band solver: each must give Prim's tree exactly.
+BAND_FAMILIES = (
+    "uniform", "lattice", "collinear", "zero_area", "cell_boundaries",
+    "rescaled", "far_clusters", "moat", "discount_points",
+)
+
+
+def band_instance(family: str, n: int, rng) -> np.ndarray:
+    if family == "lattice":  # every lattice edge ties with many others
+        side = int(np.ceil(np.sqrt(n)))
+        grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1)
+        return rng.permutation(grid.reshape(-1, 2)[:n] / side)
+    if family == "collinear":
+        return np.stack([rng.permutation(n) / n, np.full(n, 0.3)], axis=1)
+    if family == "zero_area":  # on the diagonal, at irregular spacing
+        t = np.unique(rng.random(n))
+        return np.stack([t, t], axis=1)
+    if family == "cell_boundaries":  # on 1/8 grid lines and the square's edge
+        pts = rng.integers(0, 9, (n, 2)) / 8.0
+        free = rng.random(n) < 0.5
+        pts[free, 1] = rng.random(free.sum())
+        return rng.permutation(np.unique(pts, axis=0))
+    if family == "rescaled":
+        scale = rng.choice([1e-3, 7.0, 1e4])
+        shift = rng.choice([-3.0, 0.0, 1e3])
+        return rng.random((n, 2)) * scale + shift
+    if family == "far_clusters":
+        half = n // 2
+        near = rng.random((half, 2)) * 1e-3
+        return np.vstack([near, 0.9 + rng.random((n - half, 2)) * 1e-3])
+    if family == "moat":  # a small cluster inside an empty square ring
+        pts = rng.random((6 * n, 2))
+        outside = pts[np.abs(pts - 0.5).max(axis=1) > 0.35][: n - 5]
+        return np.vstack([0.5 + 0.01 * rng.random((5, 2)), outside])
+    if family == "discount_points":  # inside and on the corners of the cells
+        cells = hotspot_spec().layout.central_cells()
+        pts = rng.random((n, 2))
+        for k in range(min(n, 3 * len(cells))):
+            c = cells[k % len(cells)]
+            u = rng.random(2) if k < len(cells) else rng.integers(0, 2, 2)
+            pts[k] = (c.xmin + u[0] * (c.xmax - c.xmin),
+                      c.ymin + u[1] * (c.ymax - c.ymin))
+        return np.unique(pts, axis=0)
+    return rng.random((n, 2))
+
+
+@given(
+    family=st.sampled_from(BAND_FAMILIES),
+    kind=st.sampled_from(KINDS),
+    n=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_band_solver_equals_prim_exactly(family, kind, n, seed):
+    spec = spec_from_kind(kind)
+    pts = band_instance(family, n, np.random.default_rng(seed))
+    assert_same_tree(mst_bands(spec, pts), mst_prim_dense(spec, pts))
+
+
+@pytest.mark.parametrize("spec", [
+    WeightSpec(kind="euclidean", c1=3.0, c2=3.0),
+    WeightSpec(kind="shifted", c1=1.4, c2=1.5),
+])
+def test_band_solver_does_not_trust_the_declared_band(spec):
+    # a band declared too high must not shrink the search below the pairs
+    # that the weight function itself can make cheap
+    for seed in range(4):
+        pts = band_instance("moat", 300, np.random.default_rng(seed))
+        assert_same_tree(mst_bands(spec, pts), mst_prim_dense(spec, pts))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_auto_solver_equals_prim_across_the_crossover(kind):
+    spec = spec_from_kind(kind)
+    rng = np.random.default_rng(11)
+    for n in (_KRUSKAL_MAX_N, _KRUSKAL_MAX_N + 1, 1500):
+        pts = rng.random((n, 2))
+        assert_same_tree(minimum_spanning_tree(spec, pts), mst_prim_dense(spec, pts))
 
 
 def test_brute_force_size_cap():
