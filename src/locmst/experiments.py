@@ -20,6 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 from scipy.special import gammaln
@@ -70,7 +71,8 @@ class GapStat:
     gaps: tuple[int, ...]
 
     def s_alpha(self, alpha: float) -> float:
-        return math.fsum(float(t) ** alpha for t in self.gaps if t > 0)
+        positive = map(float, filter(None, self.gaps))  # gaps are >= 0
+        return math.fsum(map(pow, positive, repeat(alpha)))
 
 
 def gap_stat(tiling: Tiling, coords: np.ndarray) -> GapStat:
@@ -79,10 +81,8 @@ def gap_stat(tiling: Tiling, coords: np.ndarray) -> GapStat:
     if len(coords) == 0:
         return GapStat(s=s, occupied=(), gaps=(s * s - 1,))
     occ = np.unique(cells_of(tiling, coords))
-    gaps = [int(occ[0]) - 1]
-    gaps.extend(int(b) - int(a) for a, b in zip(occ[:-1], occ[1:]))
-    gaps.append(s * s - int(occ[-1]))
-    return GapStat(s=s, occupied=tuple(int(i) for i in occ), gaps=tuple(gaps))
+    gaps = np.diff(np.concatenate(([1], occ, [s * s])))
+    return GapStat(s=s, occupied=tuple(occ.tolist()), gaps=tuple(gaps.tolist()))
 
 
 def gap_stat_monotonicity(

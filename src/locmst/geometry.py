@@ -155,15 +155,10 @@ def snake_order(s: int) -> np.ndarray:
     Returns an (s*s, 2) int array; position k holds the cell with snake
     index k+1.
     """
-    out = np.empty((s * s, 2), dtype=np.int64)
-    k = 0
-    for col in range(s):
-        rows = range(s) if col % 2 == 0 else range(s - 1, -1, -1)
-        for row in rows:
-            out[k, 0] = col
-            out[k, 1] = row
-            k += 1
-    return out
+    rows = np.tile(np.arange(s, dtype=np.int64), (s, 1))
+    rows[1::2] = rows[1::2, ::-1]  # odd columns run bottom to top
+    cols = np.repeat(np.arange(s, dtype=np.int64), s)
+    return np.stack([cols, rows.ravel()], axis=1)
 
 
 def cell_of(tiling: Tiling, x: float, y: float) -> int:

@@ -23,6 +23,14 @@ that Kruskal would reject because they close a cycle.  Running Kruskal
 band after band therefore gives the kappa-Kruskal tree itself, and no
 certificate is needed.
 
+The radius search is a cell list: points sorted by grid cell, each paired
+with the points of its neighbouring cells.  In the first band every
+component is a single point and the search runs from all points, so it
+uses the half stencil of molecular-dynamics cell lists: each point looks
+only at later points of its own cell, the cell above and the next column,
+and every pair is enumerated once instead of from both ends.  That is
+exact too: it yields the same pair set, only without the repeats.
+
 Two more constructions serve as test oracles:
 
 * ``mst_prim_dense`` -- rowwise Prim, O(n^2) time and O(n) memory.
@@ -39,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -127,7 +136,8 @@ class MstResult:
     base_weights: np.ndarray
 
     def total_weight(self, alpha: float) -> float:
-        return math.fsum(float(w) ** alpha for w in self.base_weights)
+        # Python's pow, not np.power, whose SIMD loops may round differently
+        return math.fsum(map(pow, self.base_weights.tolist(), repeat(alpha)))
 
     @property
     def degrees(self) -> np.ndarray:
@@ -311,10 +321,25 @@ def _cheapest_per_component_pair(comp, n_comp, i, j, h) -> np.ndarray:
 
 
 def _grid_neighbours(coords, lo, cell, search):
-    """Yield (s, p) chunks: each point p in the 3x3 grid cells around each s.
+    """Yield (s, p) chunks of pairs from neighbouring grid cells.
 
-    Every pair closer than ``cell`` lies in neighbouring cells, so the
-    chunks together hold every such pair with an endpoint in ``search``.
+    Points are sorted by grid cell, column by column, so three vertically
+    adjacent cells are one contiguous range of the sorted order.  Every
+    pair closer than ``cell`` lies in neighbouring cells.
+
+    * A subset ``search`` takes the full 3x3 stencil: each s is paired
+      with every point p (itself included) in the three columns around
+      it.  So every pair closer than ``cell`` with an end in ``search``
+      comes out, and one with both ends there comes out twice.
+    * When ``search`` holds every point, each point at sorted position
+      pos takes a half stencil of two ranges: [pos + 1, end of the cell
+      above], which is the rest of its own cell and the cell above, and
+      the three cells of the next column.  A pair within one cell is then
+      found only from its earlier point, one in vertically adjacent cells
+      only from the lower point, and any other neighbouring pair only
+      from the left point.  So each pair closer than ``cell`` comes out
+      exactly once, and s != p.
+
     A chunk holds about _BAND_CHUNK pairs, more only when one point's
     cells alone hold more.
     """
@@ -323,14 +348,24 @@ def _grid_neighbours(coords, lo, cell, search):
     key = c[:, 0] * stride + c[:, 1]
     order = np.argsort(key).astype(np.int32)
     sorted_key = key[order]
-    columns = stride * np.arange(-1, 2)
+    half = len(search) == len(coords)
+    if half:
+        search = order  # position k of search is sorted position k
+        columns = np.array([0, stride])
+    else:
+        columns = stride * np.arange(-1, 2)
     # blocks of points keep the per-point range arrays small too
-    for block in np.array_split(search, -(-len(search) // (_BAND_CHUNK // 16))):
+    for at in np.array_split(np.arange(len(search)),
+                             -(-len(search) // (_BAND_CHUNK // 16))):
+        block = search[at]
         around = key[block][:, None] + columns
-        start = np.searchsorted(sorted_key, around - 1).ravel()
+        start = np.searchsorted(sorted_key, around - 1)
+        if half:
+            start[:, 0] = at + 1
+        start = start.ravel()
         length = np.searchsorted(sorted_key, around + 1, side="right").ravel()
         length -= start
-        owner = np.repeat(block, 3)
+        owner = np.repeat(block, len(columns))
         cuts = np.flatnonzero(np.diff((np.cumsum(length) - length) // _BAND_CHUNK))
         for part in np.split(np.arange(len(length)), cuts + 1):
             ln = length[part]
@@ -347,15 +382,18 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit):
     the new labels.
 
     The radius search starts from points outside the largest component,
-    since every pair that joins two components has such an end.  Pairs
-    with a discount end come from that end's full row instead.
+    since every pair that joins two components has such an end.  While
+    every component is a single point it starts from all points, and the
+    half stencil then yields each pair once.  Pairs with a discount end
+    come from that end's full row instead.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.csgraph import minimum_spanning_tree as kruskal_forest
 
     n = len(comp)
-    giant = np.bincount(comp).argmax()
+    singles = n_comp == n
+    has_cheap = cheap.any()
     found = []
 
     def keep(s, p):
@@ -366,13 +404,19 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit):
         best = _cheapest_per_component_pair(comp, n_comp, i, j, h)
         found.append((i[best], j[best], h[best]))
 
-    search = np.flatnonzero(comp != giant).astype(np.int32)
+    if singles:
+        search = np.arange(n, dtype=np.int32)
+    else:
+        giant = np.bincount(comp).argmax()
+        search = np.flatnonzero(comp != giant).astype(np.int32)
     for s, p in _grid_neighbours(coords, lo, cell, search):
-        # each pair once: a pair with both ends searched is found twice,
-        # and a pair with a discount end comes from that end's row
-        once = (comp[s] != comp[p]) & ((comp[p] == giant) | (s < p))
-        once &= ~(cheap[s] | cheap[p])
-        keep(s[once], p[once])
+        if not singles:  # a pair with both ends searched is found twice
+            once = (comp[s] != comp[p]) & ((comp[p] == giant) | (s < p))
+            s, p = s[once], p[once]
+        if has_cheap:  # a pair with a discount end comes from that end's row
+            far = ~(cheap[s] | cheap[p])
+            s, p = s[far], p[far]
+        keep(s, p)
     for k in np.flatnonzero(cheap):
         p = np.flatnonzero((comp != comp[k]) & ~(cheap & (np.arange(n) < k)))
         keep(np.full(len(p), k, dtype=np.int32), p.astype(np.int32))

@@ -24,7 +24,7 @@ from locmst.experiments import (
     scaling_experiment,
     tiled_upper_bound,
 )
-from locmst.geometry import Tiling, build_tiling, cell_rect
+from locmst.geometry import Tiling, build_tiling, cell_rect, cells_of
 from locmst.sampling import Density, sample_binomial
 from locmst.weights import euclidean_spec, shifted_spec, spec_from_kind
 
@@ -59,6 +59,25 @@ class TestGapStat:
         gs = gap_stat(t, pts)
         assert gs.gaps[0] == 0  # first occupied cell is snake index 1
         assert gs.s_alpha(1.0) == pytest.approx(8.0)
+
+    def test_same_python_ints_and_sums_as_the_elementwise_loops(self):
+        # the vectorised gaps and the map(pow) sum must match the plain
+        # loops exactly, so study records stay byte-identical
+        rng = np.random.default_rng(3)
+        for n, s in ((1, 4), (20, 5), (300, 17), (2000, 45)):
+            t = Tiling.from_grid(n, s)
+            pts = rng.random((n, 2))
+            gs = gap_stat(t, pts)
+            occ = tuple(int(i) for i in np.unique(cells_of(t, pts)))
+            assert gs.occupied == occ
+            want = [occ[0] - 1]
+            want.extend(b - a for a, b in zip(occ[:-1], occ[1:]))
+            want.append(s * s - occ[-1])
+            assert gs.gaps == tuple(want)
+            assert all(type(v) is int for v in gs.occupied + gs.gaps)
+            for alpha in (0.5, 0.7, 1, 2, 3, 1.0, 2.0, 3.0):
+                loop = math.fsum(float(g) ** alpha for g in gs.gaps if g > 0)
+                assert gs.s_alpha(alpha) == loop
 
     @given(seed=st.integers(0, 99_999), n=st.integers(1, 60))
     @settings(max_examples=150)

@@ -41,10 +41,11 @@ def test_snake_index_matches_walk(s):
         assert snake_index(s, col, row) == pos
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 7])
+@pytest.mark.parametrize("s", range(1, 41))
 def test_snake_order_matches_walk(s):
     order = snake_order(s)
     assert order.shape == (s * s, 2)
+    assert order.dtype == np.int64
     assert [tuple(r) for r in order] == snake_walk_oracle(s)
 
 

@@ -9,6 +9,7 @@ solvers against both.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,11 +34,19 @@ from locmst.mst import (
     verify_cut_property,
     verify_path_criterion,
 )
-from locmst.mst import _KRUSKAL_MAX_N, SpecMissingPropertyError
+from locmst import mst as mst_module
+from locmst.mst import (
+    _BAND_CHUNK,
+    _GRID_CELLS,
+    _KRUSKAL_MAX_N,
+    SpecMissingPropertyError,
+    _grid_neighbours,
+)
 from locmst.weights import (
     WeightSpec,
     euclidean_spec,
     hotspot_spec,
+    in_central_cells,
     pair_weight,
     shifted_spec,
     spec_from_kind,
@@ -256,17 +265,90 @@ def band_instance(family: str, n: int, rng) -> np.ndarray:
     return rng.random((n, 2))
 
 
+def pair_distances(pts) -> np.ndarray:
+    return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+
+
 @given(
     family=st.sampled_from(BAND_FAMILIES),
     kind=st.sampled_from(KINDS),
     n=st.integers(2, 300),
     seed=st.integers(0, 2**32 - 1),
+    tiny_start=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_band_solver_equals_prim_exactly(family, kind, n, seed):
+def test_band_solver_equals_prim_exactly(family, kind, n, seed, tiny_start):
     spec = spec_from_kind(kind)
     pts = band_instance(family, n, np.random.default_rng(seed))
-    assert_same_tree(mst_bands(spec, pts), mst_prim_dense(spec, pts))
+    if not tiny_start:
+        got = mst_bands(spec, pts)
+    else:
+        # a first radius below every pair distance: the first bands merge
+        # nothing, so the all-points half stencil runs more than once
+        d = pair_distances(pts)
+        np.fill_diagonal(d, np.inf)
+        spy = mock.Mock(wraps=_grid_neighbours)
+        with mock.patch.object(mst_module, "_initial_radius",
+                               return_value=d.min() / 8), \
+                mock.patch.object(mst_module, "_grid_neighbours", spy):
+            got = mst_bands(spec, pts)
+        all_points = [len(c.args[3]) == len(pts) for c in spy.call_args_list]
+        # unless discount rows merge early or the radius is raised to the
+        # finest grid, nothing merges before the third band
+        finest = np.ptp(pts, axis=0).max() / _GRID_CELLS
+        if d.min() / 8 > finest and not in_central_cells(spec, pts).any():
+            assert all_points[:2] == [True, True]
+    assert_same_tree(got, mst_prim_dense(spec, pts))
+
+
+def stencil_pairs(pts, cell, search) -> list[tuple[int, int]]:
+    """Every (s, p) pair `_grid_neighbours` yields, as (min, max)."""
+    out = []
+    for s, p in _grid_neighbours(pts, pts.min(axis=0), cell,
+                                 np.asarray(search, dtype=np.int32)):
+        out.extend(zip(np.minimum(s, p).tolist(), np.maximum(s, p).tolist()))
+    return out
+
+
+def close_pairs(pts, cell) -> set[tuple[int, int]]:
+    i, j = np.nonzero(np.triu(pair_distances(pts) < cell, k=1))
+    return set(zip(i.tolist(), j.tolist()))
+
+
+# uniform, tied, one-row and on-the-cell-edge inputs; cells of 1/8 put the
+# cell_boundaries points exactly on cell edges, and cells of 0.3 hold tens
+# of points, so a chunk of 32 pairs splits them
+STENCIL_FAMILIES = ("uniform", "lattice", "collinear", "cell_boundaries")
+STENCIL_CELLS = (0.05, 1 / 8, 0.3)
+
+
+@pytest.mark.parametrize("chunk", [_BAND_CHUNK, 32])
+@pytest.mark.parametrize("family", STENCIL_FAMILIES)
+def test_half_stencil_yields_each_close_pair_exactly_once(family, chunk):
+    with mock.patch.object(mst_module, "_BAND_CHUNK", chunk):
+        for seed in range(4):
+            pts = band_instance(family, 150, np.random.default_rng(seed))
+            for cell in STENCIL_CELLS:
+                got = stencil_pairs(pts, cell, np.arange(len(pts)))
+                assert all(a < b for a, b in got), "a point paired with itself"
+                assert len(got) == len(set(got)), "a pair came out twice"
+                assert close_pairs(pts, cell) <= set(got)
+
+
+@pytest.mark.parametrize("chunk", [_BAND_CHUNK, 32])
+@pytest.mark.parametrize("family", STENCIL_FAMILIES)
+def test_subset_stencil_yields_every_close_pair_of_the_subset(family, chunk):
+    with mock.patch.object(mst_module, "_BAND_CHUNK", chunk):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            pts = band_instance(family, 150, rng)
+            search = np.sort(rng.choice(len(pts), len(pts) // 3, replace=False))
+            searched = set(search.tolist())
+            for cell in STENCIL_CELLS:
+                got = set(stencil_pairs(pts, cell, search))
+                want = {(a, b) for a, b in close_pairs(pts, cell)
+                        if a in searched or b in searched}
+                assert want <= got
 
 
 @pytest.mark.parametrize("spec", [
@@ -288,6 +370,18 @@ def test_auto_solver_equals_prim_across_the_crossover(kind):
     for n in (_KRUSKAL_MAX_N, _KRUSKAL_MAX_N + 1, 1500):
         pts = rng.random((n, 2))
         assert_same_tree(minimum_spanning_tree(spec, pts), mst_prim_dense(spec, pts))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_total_weight_equals_the_elementwise_sum_exactly(kind):
+    # Python's pow per edge; np.power can round differently in its SIMD
+    # loops, which would break byte-identical study records
+    rng = np.random.default_rng(4)
+    for n in (2, 50, 1000):
+        r = minimum_spanning_tree(spec_from_kind(kind), rng.random((n, 2)))
+        for alpha in (0.5, 0.7, 1, 2, 3, 1.0, 2.0, 3.0):
+            loop = math.fsum(float(w) ** alpha for w in r.base_weights)
+            assert r.total_weight(alpha) == loop
 
 
 def test_brute_force_size_cap():
