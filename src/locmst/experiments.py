@@ -33,7 +33,13 @@ from .geometry import (
     occupancy_grid,
     occupied_cells,
 )
-from .sampling import Density, derive_rng, sample_binomial, sample_poisson
+from .sampling import (
+    Density,
+    _rejection_sample,
+    derive_rng,
+    sample_binomial,
+    sample_poisson,
+)
 from .weights import (
     HotspotLayout,
     WeightSpec,
@@ -308,7 +314,12 @@ class Prop1Report:
 
 
 def _sample_in_rect(rect: Rect, density: Density, rng) -> np.ndarray:
-    """One point from the density restricted to a rectangle, by rejection."""
+    """One point from the density restricted to a rectangle, by rejection.
+
+    Kept apart from ``sampling._rejection_sample``: its fixed batches of
+    32 proposals scaled into the rectangle set ``prop1_demo``'s
+    conditional draws, and no shared batch rule reproduces them.
+    """
     env = density.eps2
     for _ in range(100_000):
         pts = rng.random((32, 2))
@@ -321,53 +332,18 @@ def _sample_in_rect(rect: Rect, density: Density, rng) -> np.ndarray:
     raise RuntimeError("in-cell rejection sampling failed")
 
 
-def _sample_outside(
-    count: int, big: Rect, density: Density, rng
-) -> np.ndarray:
-    """count density points conditioned to avoid the big square."""
-    if count == 0:
-        return np.empty((0, 2))
-    env = density.eps2
-    out = np.empty((count, 2))
-    have = 0
-    for _ in range(100_000):
-        batch = max(1024, 3 * (count - have))
-        pts = rng.random((batch, 2))
-        u = rng.random(batch)
-        keep = (u * env <= density.values(pts)) & ~(
-            (pts[:, 0] >= big.xmin)
-            & (pts[:, 0] < big.xmax)
-            & (pts[:, 1] >= big.ymin)
-            & (pts[:, 1] < big.ymax)
-        )
-        acc = pts[keep]
-        take = min(len(acc), count - have)
-        out[have : have + take] = acc[:take]
-        have += take
-        if have == count:
-            return out
-    raise RuntimeError("outside-square rejection sampling failed")
-
-
 def _detect_event(layout: HotspotLayout, level: int, coords: np.ndarray):
     """Exactly one point per special cell and nothing else in the big
     square.  Returns (occurred, center_index, special_indices)."""
     lv = layout.level(level)
     x, y = coords[:, 0], coords[:, 1]
-    in_big = (
-        (x >= lv.big.xmin) & (x < lv.big.xmax)
-        & (y >= lv.big.ymin) & (y < lv.big.ymax)
-    )
     cell_hits = []
     for cell in lv.cells:
-        inside = np.flatnonzero(
-            (x >= cell.xmin) & (x < cell.xmax)
-            & (y >= cell.ymin) & (y < cell.ymax)
-        )
+        inside = np.flatnonzero(cell.contains(x, y))
         if len(inside) != 1:
             return False, -1, ()
         cell_hits.append(int(inside[0]))
-    if int(np.count_nonzero(in_big)) != len(lv.cells):
+    if int(np.count_nonzero(lv.big.contains(x, y))) != len(lv.cells):
         return False, -1, ()
     return True, cell_hits[0], tuple(cell_hits)
 
@@ -447,7 +423,7 @@ def prop1_demo(
                     )
                 else:
                     planted[k] = _sample_in_rect(cell, density, rng)
-            outside = _sample_outside(n - m, lv.big, density, rng)
+            outside = _rejection_sample(n - m, density, rng, avoid=lv.big)
             coords = np.vstack([planted, outside])
         occurred, v0, special = _detect_event(layout, level, coords)
         if not occurred:
@@ -562,8 +538,8 @@ def good_square_probe(
         (cc + 15 * g + 1) * side,
         (cc + 15 * g + 1) * side,
     )
-    background = _sample_outside(n - 13, moat, Density.uniform(),
-                                 derive_rng(seed, 1))
+    background = _rejection_sample(n - 13, Density.uniform(), derive_rng(seed, 1),
+                                   avoid=moat)
     center_cell = Rect(cc * side, cc * side, (cc + 1) * side, (cc + 1) * side)
     if x_at_center:
         x_new = np.array([(cc + 0.5) * side, (cc + 0.5) * side])

@@ -40,12 +40,17 @@ class Rect:
     def area(self) -> float:
         return (self.xmax - self.xmin) * (self.ymax - self.ymin)
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.xmin <= x < self.xmax and self.ymin <= y < self.ymax
+    def contains(self, x, y):
+        """Half-open membership, elementwise over scalars or arrays."""
+        return (
+            (self.xmin <= x) & (x < self.xmax) & (self.ymin <= y) & (y < self.ymax)
+        )
 
-    def contains_closed(self, x: float, y: float) -> bool:
+    def contains_closed(self, x, y):
         """Closed membership; boundary points count as inside."""
-        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
+        return (
+            (self.xmin <= x) & (x <= self.xmax) & (self.ymin <= y) & (y <= self.ymax)
+        )
 
     def intersects(self, other: "Rect") -> bool:
         """Half-open overlap test; rectangles touching along an edge or at a
@@ -82,10 +87,6 @@ class Tiling:
     def cell_side(self) -> float:
         return 1.0 / self.s
 
-    @property
-    def n_cells(self) -> int:
-        return self.s * self.s
-
     @classmethod
     def from_grid(cls, n: int, s: int) -> "Tiling":
         """Build a tiling directly from a grid resolution (a_n = sqrt(n)/s)."""
@@ -109,14 +110,9 @@ def build_tiling(n: int, a_target: float = 1.0) -> Tiling:
         raise ValueError("need n >= 3 so that log(n) > 1")
     if a_target <= 0:
         raise ValueError("a_target must be positive")
-    root = math.sqrt(n)
-    hi = a_target + 1.0 / math.log(n)
-    s = int(math.floor(root / a_target))
-    # Guard against floating error when sqrt(n)/a_target is an exact integer.
-    while s >= 1 and root / s < a_target:
-        s -= 1
-    if s >= 1 and root / s <= hi:
-        return Tiling(n=n, a_target=a_target, a_n=root / s, s=s)
+    s = _admissible_s(n, a_target)
+    if s is not None:
+        return Tiling(n=n, a_target=a_target, a_n=math.sqrt(n) / s, s=s)
     near = _nearest_admissible_n(n, a_target)
     raise NoAdmissibleAError(
         f"no admissible side parameter for n={n}, a_target={a_target}; "
@@ -124,16 +120,22 @@ def build_tiling(n: int, a_target: float = 1.0) -> Tiling:
     )
 
 
+def _admissible_s(n: int, a_target: float) -> int | None:
+    """Largest s with a_target <= sqrt(n)/s <= a_target + 1/log(n), or None."""
+    root = math.sqrt(n)
+    s = int(math.floor(root / a_target))
+    # Guard against floating error when sqrt(n)/a_target is an exact integer.
+    while s >= 1 and root / s < a_target:
+        s -= 1
+    if s >= 1 and root / s <= a_target + 1.0 / math.log(n):
+        return s
+    return None
+
+
 def _nearest_admissible_n(n: int, a_target: float) -> int | None:
     for d in range(1, 10000):
         for cand in (n - d, n + d):
-            if cand < 3:
-                continue
-            root = math.sqrt(cand)
-            s = int(math.floor(root / a_target))
-            while s >= 1 and root / s < a_target:
-                s -= 1
-            if s >= 1 and root / s <= a_target + 1.0 / math.log(cand):
+            if cand >= 3 and _admissible_s(cand, a_target) is not None:
                 return cand
     return None
 

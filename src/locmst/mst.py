@@ -6,7 +6,7 @@ points).  Because x -> x**alpha is strictly increasing, the same edge set
 minimizes sum h(e)**alpha for every alpha > 0; algorithms here therefore
 sort on base weights only and alpha enters only when scoring a tree.
 
-``minimum_spanning_tree(..., "auto")`` is the production path.  It runs
+``minimum_spanning_tree(spec, coords)`` is the production path.  It runs
 
 * ``mst_kruskal`` -- sort all pairs by kappa, then union-find -- up to
   n = _KRUSKAL_MAX_N, where its small constant wins, and
@@ -540,19 +540,9 @@ def mst_brute_force(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     )
 
 
-def minimum_spanning_tree(
-    spec: WeightSpec, coords: np.ndarray, algorithm: str = "auto"
-) -> MstResult:
-    if algorithm == "auto":
-        small = len(coords) <= _KRUSKAL_MAX_N
-        return (mst_kruskal if small else mst_bands)(spec, coords)
-    if algorithm == "prim":
-        return mst_prim_dense(spec, coords)
-    if algorithm == "kruskal":
-        return mst_kruskal(spec, coords)
-    if algorithm == "brute":
-        return mst_brute_force(spec, coords)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+def minimum_spanning_tree(spec: WeightSpec, coords: np.ndarray) -> MstResult:
+    small = len(coords) <= _KRUSKAL_MAX_N
+    return (mst_kruskal if small else mst_bands)(spec, coords)
 
 
 def verify_path_criterion(

@@ -76,13 +76,7 @@ class Density:
         coords = np.asarray(coords, dtype=float)
         out = np.full(len(coords), self.background)
         for r, v in self.rects:
-            inside = (
-                (coords[:, 0] >= r.xmin)
-                & (coords[:, 0] < r.xmax)
-                & (coords[:, 1] >= r.ymin)
-                & (coords[:, 1] < r.ymax)
-            )
-            out[inside] = v
+            out[r.contains(coords[:, 0], coords[:, 1])] = v
         return out
 
     @classmethod
@@ -118,19 +112,31 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(seed_sequence(seed, *key))
 
 
-def _rejection_sample(n: int, density: Density, rng: np.random.Generator) -> np.ndarray:
+def _rejection_sample(
+    n: int, density: Density, rng: np.random.Generator, avoid: Rect | None = None
+) -> np.ndarray:
+    """n i.i.d. density points, conditioned to miss ``avoid`` if given."""
     if n == 0:
         return np.empty((0, 2))
     env = density.eps2
     out = np.empty((n, 2))
     have = 0
-    max_rounds = 1000
-    for _ in range(max_rounds):
+    for _ in range(100_000):
         want = n - have
-        batch = max(1024, int(2.5 * want))
+        # The batch sizes fix where each round's acceptance uniforms sit in
+        # the stream, so they are part of every seed-pinned draw.
+        if avoid is None:
+            # sample_binomial and sample_poisson were pinned with 2.5 * want
+            batch = max(1024, int(2.5 * want))
+        else:
+            # the probes' conditioned draws were pinned with 3 * want
+            batch = max(1024, 3 * want)
         pts = rng.random((batch, 2))
         u = rng.random(batch)
-        acc = pts[u * env <= density.values(pts)]
+        keep = u * env <= density.values(pts)
+        if avoid is not None:
+            keep &= ~avoid.contains(pts[:, 0], pts[:, 1])
+        acc = pts[keep]
         take = min(len(acc), want)
         out[have : have + take] = acc[:take]
         have += take

@@ -71,10 +71,6 @@ class HotspotLevel:
     def central(self) -> Rect:
         return self.cells[0]
 
-    @property
-    def boundary_cells(self) -> tuple[Rect, ...]:
-        return self.cells[1:]
-
 
 @dataclass(frozen=True)
 class HotspotLayout:
@@ -209,12 +205,7 @@ def in_central_cells(spec: WeightSpec, coords: np.ndarray) -> np.ndarray:
     if spec.kind != "hotspot":
         return mask
     for cell in spec.layout.central_cells():
-        mask |= (
-            (coords[:, 0] >= cell.xmin)
-            & (coords[:, 0] <= cell.xmax)
-            & (coords[:, 1] >= cell.ymin)
-            & (coords[:, 1] <= cell.ymax)
-        )
+        mask |= cell.contains_closed(coords[:, 0], coords[:, 1])
     return mask
 
 

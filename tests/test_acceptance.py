@@ -35,6 +35,8 @@ from locmst.mst import (
     alpha_invariance_check,
     minimum_spanning_tree,
     mst_brute_force,
+    mst_kruskal,
+    mst_prim_dense,
     scale_check,
     translate_check,
 )
@@ -84,8 +86,8 @@ def test_c02_three_solvers_agree_on_small_instances():
         for i in range(1000):
             n = 2 + i % 6
             pts = sample_binomial(n, UNIFORM, 9000 + i, key=(k,)).coords
-            prim = minimum_spanning_tree(spec, pts, algorithm="prim")
-            krus = minimum_spanning_tree(spec, pts, algorithm="kruskal")
+            prim = mst_prim_dense(spec, pts)
+            krus = mst_kruskal(spec, pts)
             brute = mst_brute_force(spec, pts)
             same_edges = prim.edge_set() == krus.edge_set() == brute.edge_set()
             same_weight = (

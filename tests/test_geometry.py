@@ -162,6 +162,27 @@ def test_rect_validation_and_area():
     assert r.contains_closed(0.5, 0.25)
     with pytest.raises(ValueError):
         Rect(0.3, 0.0, 0.3, 1.0)
+    # every corner, every edge midpoint, the interior and points just
+    # outside each edge: (x, y, half-open, closed)
+    cases = [
+        (0.0, 0.0, True, True), (0.5, 0.0, False, True),
+        (0.0, 0.25, False, True), (0.5, 0.25, False, True),
+        (0.25, 0.0, True, True), (0.25, 0.25, False, True),
+        (0.0, 0.1, True, True), (0.5, 0.1, False, True),
+        (0.25, 0.1, True, True),
+        (-1e-9, 0.1, False, False), (0.5 + 1e-9, 0.1, False, False),
+        (0.25, -1e-9, False, False), (0.25, 0.25 + 1e-9, False, False),
+    ]
+    x, y, half_open, closed = (np.array(c) for c in zip(*cases))
+    np.testing.assert_array_equal(r.contains(x, y), half_open)
+    np.testing.assert_array_equal(r.contains_closed(x, y), closed)
+    for k in range(len(cases)):
+        assert bool(r.contains(x[k], y[k])) == half_open[k]
+        assert bool(r.contains_closed(x[k], y[k])) == closed[k]
+    # a scalar-y, array-x mix broadcasts
+    np.testing.assert_array_equal(
+        r.contains(np.array([0.0, 0.5]), 0.0), [True, False]
+    )
 
 
 def test_rect_intersection_area():

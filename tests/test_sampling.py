@@ -1,5 +1,7 @@
 """Densities, rejection sampling, and seeded reproducibility."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from locmst.geometry import Rect
 from locmst.sampling import (
     Density,
     PointSet,
+    _rejection_sample,
     derive_rng,
     sample_binomial,
     sample_poisson,
@@ -138,3 +141,49 @@ def test_derive_rng_is_deterministic(seed, key):
     x = derive_rng(seed, key).random(4)
     y = derive_rng(seed, key).random(4)
     np.testing.assert_array_equal(x, y)
+
+
+def _sha256(*arrays: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# The n = 2000 good-square moat: s = 161 cells per side, moat of 151
+# cells, so the avoided square covers about 0.88 of the unit square and
+# each 3 * want batch accepts only about a third of what is still wanted.
+_MOAT = Rect(5 / 161, 5 / 161, 156 / 161, 156 / 161)
+
+
+def test_pinned_draws():
+    """The draws are part of every seed-pinned artifact: any change to the
+    batch sizes or to the order of the uniforms in the stream shows here."""
+    d = make_two_level_density()
+    binom = [sample_binomial(500, d, seed=s).coords for s in range(5)]
+    poiss = [sample_poisson(500, d, seed=s).coords for s in range(5)]
+    assert _sha256(*binom) == (
+        "9def8bfd63b6f4501b7235a1b991112cfd72cecea65c1332859bc8d8f4969600"
+    )
+    assert _sha256(*poiss) == (
+        "9eada65ea8a63adb2b0eb316f58908241bc53a001dfa0e7e26621aeb29c2dd96"
+    )
+
+
+def test_avoid_draw_pinned_and_outside():
+    """The conditioned draw good_square_probe and prop1_demo make, pinned
+    over several acceptance rounds, must also miss the avoided square."""
+    draws = [
+        _rejection_sample(1987, dens, derive_rng(seed, 1), avoid=_MOAT)
+        for seed in range(3)
+        for dens in (Density.uniform(), make_two_level_density())
+    ]
+    for pts in draws:
+        assert pts.shape == (1987, 2)
+        # half-open, as the avoided square is: a point on its xmax or ymax
+        # edge lies outside it and may be returned
+        assert not _MOAT.contains(pts[:, 0], pts[:, 1]).any()
+        assert ((pts >= 0.0) & (pts < 1.0)).all()
+    assert _sha256(*draws) == (
+        "1beeac8c515547a8c4f70f022b7f31fdf34bc3919cef9f7ba07453c2a9107e05"
+    )
