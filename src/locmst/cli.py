@@ -24,6 +24,7 @@ from .experiments import (
 from .io import (
     RunConfig,
     bounds_to_json,
+    envelope,
     mst_result_to_csv,
     mst_result_to_json,
     point_set_to_csv,
@@ -159,8 +160,10 @@ def _slope_line(fit) -> str:
 
 def _run_study_command(args, quantity: str) -> int:
     threads = _threads(args)
+    experiment = "scaling" if quantity == "mean" else "variance"
     study = run_weight_study(
-        args.kind, args.n_list, args.reps, args.alpha, args.seed, threads
+        args.kind, args.n_list, args.reps, args.alpha, args.seed, threads,
+        experiment=experiment,
     )
     fits = []
     for a in args.alpha:
@@ -176,7 +179,7 @@ def _run_study_command(args, quantity: str) -> int:
             )
     for fit in fits:
         print(_slope_line(fit))
-    config = _config(args, "scaling" if quantity == "mean" else "variance")
+    config = _config(args, experiment)
     if args.out_csv:
         write_text(args.out_csv, records_to_csv(study.records, config))
     if args.out_json:
@@ -243,8 +246,6 @@ def cmd_prop1(args) -> int:
         print("no occurrences, as expected at this probability scale")
     config = _config(args, "prop1")
     if args.out:
-        from .io import envelope
-
         payload = {**asdict(report), "ok": report.ok}
         write_text(args.out, envelope("prop1", config, payload))
     if not report.ok:
@@ -272,8 +273,6 @@ def cmd_probe(args) -> int:
         print(f"alpha={a:g} increment={inc:.9g} bracket=[{lo:.9g}, {hi:.9g}]")
     config = _config(args, "probe-good-square")
     if args.out:
-        from .io import envelope
-
         payload = {**asdict(report), "ok": report.ok}
         write_text(args.out, envelope("good_square", config, payload))
     if not report.ok:

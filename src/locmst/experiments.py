@@ -45,7 +45,7 @@ from .weights import (
     WeightSpec,
     build_hotspot_layout,
     euclidean_spec,
-    pair_weight,
+    row_weight_fn,
     spec_from_kind,
 )
 from .mst import MstResult, minimum_spanning_tree
@@ -203,9 +203,9 @@ def tiled_upper_bound(
         reps.append(rep)
         edges.extend((rep, p) for p in members if p != rep)
     edges.extend(zip(reps[:-1], reps[1:]))
-    w_uni = math.fsum(
-        pair_weight(spec, coords[a], coords[b]) ** alpha for a, b in edges
-    )
+    a, b = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    tree_w = row_weight_fn(spec, coords)(a, b).tolist()
+    w_uni = math.fsum(map(pow, tree_w, repeat(alpha)))
     s_alpha = gap_stat(tiling, coords).s_alpha(alpha)
     rhs = (2.0 * spec.c2 * tiling.cell_side) ** alpha * (n + s_alpha)
     w = minimum_spanning_tree(spec, coords).total_weight(alpha)

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .bounds import BoundsResult
-from .experiments import ScalingFit
 from .mst import MstResult
 from .sampling import PointSet
 
@@ -121,17 +120,7 @@ def records_to_csv(records, config: RunConfig | None = None) -> str:
 
 
 def scaling_fits_to_json(fits, config: RunConfig | None = None) -> str:
-    payload = [_fit_payload(f) for f in fits]
-    return envelope("scaling_fits", config, payload)
-
-
-def _fit_payload(fit: ScalingFit) -> dict:
-    d = asdict(fit)
-    d["n_list"] = list(fit.n_list)
-    d["values"] = list(fit.values)
-    d["corridor_low"] = list(fit.corridor_low)
-    d["corridor_high"] = list(fit.corridor_high)
-    return d
+    return envelope("scaling_fits", config, [asdict(f) for f in fits])
 
 
 def bounds_to_json(results, config: RunConfig | None = None) -> str:

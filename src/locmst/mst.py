@@ -8,8 +8,9 @@ sort on base weights only and alpha enters only when scoring a tree.
 
 ``minimum_spanning_tree(spec, coords)`` is the production path.  It runs
 
-* ``mst_kruskal`` -- sort all pairs by kappa, then union-find -- up to
-  n = _KRUSKAL_MAX_N, where its small constant wins, and
+* ``mst_kruskal`` -- sort all pairs by kappa, then merge components by
+  relabelling the smaller one -- up to n = _KRUSKAL_MAX_N, where its
+  small constant wins, and
 * ``mst_bands`` -- the same kappa-Kruskal, fed its pairs one distance band
   at a time -- above it.
 
@@ -54,7 +55,6 @@ import numpy as np
 from .weights import (
     WeightSpec,
     in_central_cells,
-    pair_weight,
     row_weight_fn,
     weight_matrix,
 )
@@ -216,43 +216,29 @@ def mst_prim_dense(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     return _sorted_result(n, out_i, out_j, out_w)
 
 
-class _UnionFind:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def _kruskal(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> list[int]:
-    """Positions of the kappa-Kruskal tree's edges among the pairs (ii, jj, ww)."""
+    """Positions of the kappa-Kruskal tree's edges among the pairs (ii, jj, ww).
+
+    Each point carries its component's label and each component a list of
+    its members; a union relabels the smaller component (weighted union,
+    Cormen et al., Introduction to Algorithms, section 21.2).
+    """
     order = _kappa_order(ii, jj, ww)
-    uf = _UnionFind(n)
+    label = list(range(n))
+    members = [[v] for v in range(n)]
     chosen = []
     for k, a, b in zip(order.tolist(), ii[order].tolist(), jj[order].tolist()):
-        if uf.union(a, b):
-            chosen.append(k)
-            if len(chosen) == n - 1:
-                break
+        la, lb = label[a], label[b]
+        if la == lb:
+            continue
+        if len(members[la]) < len(members[lb]):
+            la, lb = lb, la
+        for v in members[lb]:
+            label[v] = la
+        members[la] += members[lb]
+        chosen.append(k)
+        if len(chosen) == n - 1:
+            break
     return chosen
 
 
@@ -262,7 +248,7 @@ def mst_kruskal(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     if n <= 1:
         return _sorted_result(n)
     ii, jj = np.triu_indices(n, k=1)
-    ww = weight_matrix(spec, coords)[ii, jj]
+    ww = row_weight_fn(spec, coords)(ii, jj)
     k = _kruskal(n, ii, jj, ww)
     return _sorted_result(n, ii[k], jj[k], ww[k])
 
@@ -552,12 +538,14 @@ def verify_path_criterion(
 
     T is the minimum tree iff for each non-tree edge e = (i, j), every
     edge f on the tree path between i and j satisfies kappa(f) < kappa(e).
-    Returns (True, None) or (False, witness_pair).
+    Returns (True, None) or (False, witness_pair).  The coordinates are
+    checked as the solvers check theirs.
     """
-    coords = np.asarray(coords, dtype=float)
+    coords = _validate_coords(coords)
     n = len(coords)
     if n < 2:
         return True, None
+    row = row_weight_fn(spec, coords)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     tree_edges = result.edge_set()
     for a, b, wv in zip(result.edge_i, result.edge_j, result.base_weights):
@@ -579,11 +567,11 @@ def verify_path_criterion(
                 prev = max_kappa[u]
                 max_kappa[v] = k_edge if prev is None or k_edge > prev else prev
                 stack.append(v)
+        h = row(root).tolist()
         for j in range(root + 1, n):
             if (root, j) in tree_edges:
                 continue
-            k_e = (pair_weight(spec, coords[root], coords[j]), root, j)
-            if not max_kappa[j] < k_e:
+            if not max_kappa[j] < (h[j], root, j):
                 return False, (root, j)
     return True, None
 
@@ -597,11 +585,9 @@ def alpha_invariance_check(
     n = len(coords)
     if n < 2:
         return True
-    base = weight_matrix(spec, coords)
     ii, jj = np.triu_indices(n, k=1)
-    edge_sets = {
-        frozenset(_kruskal(n, ii, jj, base[ii, jj] ** alpha)) for alpha in alphas
-    }
+    base = row_weight_fn(spec, coords)(ii, jj)
+    edge_sets = {frozenset(_kruskal(n, ii, jj, base**alpha)) for alpha in alphas}
     return len(edge_sets) <= 1
 
 

@@ -154,6 +154,21 @@ class TestStudyCommands:
         fits = json.loads((tmp_path / "var.json").read_text())["result"]
         assert fits[0]["quantity"] == "variance"
 
+    @pytest.mark.parametrize("command", ["scaling", "variance"])
+    def test_csv_records_name_their_command(self, tmp_path, command):
+        path = tmp_path / "records.csv"
+        code = run_cli(
+            command, "--kind", "euclidean", "--alpha", "1",
+            "--n-list", "16,24,32,48", "--reps", "200", "--seed", "3",
+            "--slope-tol", "9", "--out-csv", path,
+        )
+        assert code == 0
+        lines = [ln for ln in path.read_text().splitlines()
+                 if not ln.startswith("#")]
+        column = lines[0].split(",").index("experiment")
+        assert {ln.split(",")[column] for ln in lines[1:]} == {command}
+        assert len(lines) == 1 + 4 * 200
+
     def test_threads_env_must_be_an_integer(self, monkeypatch):
         monkeypatch.setenv("LOCMST_THREADS", "many")
         with pytest.raises(SystemExit):

@@ -25,8 +25,14 @@ from locmst.experiments import (
     tiled_upper_bound,
 )
 from locmst.geometry import Tiling, build_tiling, cell_rect, cells_of
+from locmst.mst import DuplicatePointsError
 from locmst.sampling import Density, sample_binomial
-from locmst.weights import euclidean_spec, shifted_spec, spec_from_kind
+from locmst.weights import (
+    euclidean_spec,
+    pair_weight,
+    shifted_spec,
+    spec_from_kind,
+)
 
 
 def centers_of_cells(tiling: Tiling, indices) -> np.ndarray:
@@ -177,6 +183,54 @@ class TestDeterministicBounds:
         t = build_tiling(100, 1.0)
         with pytest.raises(EmptyPointSetError):
             tiled_upper_bound(euclidean_spec(), t, np.empty((0, 2)), 1.0)
+
+    @pytest.mark.parametrize("kind", ["shifted", "hotspot"])
+    @pytest.mark.parametrize("alpha", [0.7, 2.0, 3.0])
+    def test_tiled_upper_w_uni_is_the_fsum_of_pair_weights(self, kind, alpha):
+        # the constructed tree rebuilt here and priced pair by pair with the
+        # scalar reference, on tiling grid lines and on the closed edges of
+        # the discount cells, where cell and discount membership are decided
+        spec = spec_from_kind(kind)
+        t = build_tiling(64, 1.0)
+        rng = np.random.default_rng(11)
+        on_grid = rng.integers(0, t.s + 1, size=(30, 2)) / t.s
+        half_grid = rng.integers(0, t.s, size=(30, 2)) / t.s
+        half_grid[:, 0] += 0.5 / t.s
+        cells = spec_from_kind("hotspot").layout.central_cells()
+        on_cells = [
+            (x, y)
+            for c in cells
+            for x in (c.xmin, (c.xmin + c.xmax) / 2, c.xmax)
+            for y in (c.ymin, (c.ymin + c.ymax) / 2, c.ymax)
+        ]
+        pts = np.unique(
+            np.vstack([on_grid, half_grid, on_cells, rng.random((20, 2))]),
+            axis=0,
+        )
+        pts = pts[rng.permutation(len(pts))]
+        first: dict[int, int] = {}
+        edges = []
+        for p, c in enumerate(cells_of(t, pts).tolist()):
+            if c in first:
+                edges.append((first[c], p))
+            else:
+                first[c] = p
+        reps = [first[c] for c in sorted(first)]
+        edges += zip(reps[:-1], reps[1:])
+        want = math.fsum(
+            pair_weight(spec, pts[a], pts[b]) ** alpha for a, b in edges
+        )
+        assert tiled_upper_bound(spec, t, pts, alpha).w_uni == want
+
+    def test_tiled_upper_coincident_points_raise_the_solvers_error(self):
+        # the solvers' input check names the coincident pair; the scalar
+        # pair_weight's DegenerateEdgeError must not surface here
+        t = build_tiling(16, 1.0)
+        pts = np.array([[0.1, 0.2], [0.6, 0.6], [0.1, 0.2]])
+        for kind in ("euclidean", "shifted", "hotspot"):
+            with pytest.raises(DuplicatePointsError) as err:
+                tiled_upper_bound(spec_from_kind(kind), t, pts, 1.0)
+            assert err.value.indices == (0, 2)
 
     def test_tiled_upper_single_cell_is_tight(self):
         # two points in one cell: the constructed tree is the only edge
@@ -338,6 +392,22 @@ class TestStudiesAndFits:
             cols, [r["mst_weight"] for r in b.records]
         )
         assert len(a.records) == 2 * 3 * 2  # sizes x reps x alphas
+
+    def test_process_pool_matches_the_serial_study(self):
+        # sizes on both sides of the Kruskal / band-solver switch at n = 160;
+        # 16 tasks make two chunks of the pool, so both workers take some
+        kwargs = dict(n_list=(48, 64, 200, 300), reps=4, alphas=(1.0, 2.0),
+                      seed=4)
+        serial = run_weight_study("hotspot", **kwargs)
+        pooled = run_weight_study("hotspot", threads=2, **kwargs)
+        for a in (1.0, 2.0):
+            np.testing.assert_array_equal(pooled.weights[a], serial.weights[a])
+
+        def untimed(study):
+            return [{k: v for k, v in r.items() if k != "runtime_ms"}
+                    for r in study.records]
+
+        assert untimed(pooled) == untimed(serial)
 
     def test_study_records_have_the_full_schema(self):
         study = run_weight_study(

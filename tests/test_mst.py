@@ -434,6 +434,19 @@ def test_path_criterion_rejects_a_worse_tree():
     assert not ok and witness is not None
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_path_criterion_rejects_coincident_points(kind):
+    # the check validates its input as the solvers do, so the coincident
+    # non-tree pair (0, 3) is named, not priced
+    spec = spec_from_kind(kind)
+    pts = np.array([[0.1, 0.1], [0.4, 0.1], [0.4, 0.5], [0.9, 0.9]])
+    tree = minimum_spanning_tree(spec, pts)
+    pts[3] = pts[0]
+    with pytest.raises(DuplicatePointsError) as err:
+        verify_path_criterion(spec, pts, tree)
+    assert err.value.indices == (0, 3)
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=80)
 def test_cut_property_on_random_instances(seed):
