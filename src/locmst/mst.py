@@ -25,12 +25,22 @@ band after band therefore gives the kappa-Kruskal tree itself, and no
 certificate is needed.
 
 The radius search is a cell list: points sorted by grid cell, each paired
-with the points of its neighbouring cells.  In the first band every
-component is a single point and the search runs from all points, so it
-uses the half stencil of molecular-dynamics cell lists: each point looks
-only at later points of its own cell, the cell above and the next column,
-and every pair is enumerated once instead of from both ends.  That is
-exact too: it yields the same pair set, only without the repeats.
+with the points of its neighbouring cells.  A joining pair has an end
+outside the largest component, so a band searches from those points.
+When they are more than half of all points (always in the first band,
+where every component is a single point, and on thin inputs such as the
+good-square probe's frame) it searches from all points instead, with the
+half stencil of molecular-dynamics cell lists: each point looks only at
+later points of its own cell, the cell above and the next column, and
+every pair is enumerated once instead of from both ends.  That is exact
+too: it yields the same pair set, only without the repeats.
+
+Within a band, the cheapest pair between each two components, taken in
+kappa order, is an edge of the component graph whose kappa rank is its
+position.  Ranks are distinct, so the graph has one minimum spanning
+forest, and Boruvka's algorithm (``_boruvka``, numpy rounds of cheapest
+edge per component) finds the same forest that Kruskal over the ranks
+would.  It needs no sort and no sparse matrix.
 
 Two more constructions serve as test oracles:
 
@@ -65,9 +75,11 @@ BRUTE_FORCE_MAX_N = 8
 _COORD_LIMIT = 1e150
 # Largest n that `minimum_spanning_tree` hands to `mst_kruskal`; above it
 # `mst_bands` is faster.  Median solve times over 30 uniform instances on a
-# 2-core VM, Kruskal / bands, in ms, similar for all three weight kinds:
-# n = 96: 0.6 / 1.6; n = 128: 0.9 / 1.6; n = 160: 1.7 / 1.7;
-# n = 192: 2.5 / 1.8; n = 256: 4.8 / 2.0.
+# 2-core VM, Kruskal / bands, in ms, the range over the three weight kinds:
+# n = 96: 0.5-0.6 / 0.9-1.1; n = 128: 0.7-0.9 / 0.9-1.2;
+# n = 144: 0.8-1.1 / 0.9-1.2; n = 160: 1.3-1.4 / 1.2-1.4;
+# n = 176: 1.1-2.0 / 1.1-1.3; n = 192: 1.6-2.4 / 1.4-1.6;
+# n = 256: 4.5-4.7 / 1.3-1.6.
 _KRUSKAL_MAX_N = 160
 # Candidate pairs `mst_bands` holds at once, before the per-chunk reduction.
 _BAND_CHUNK = 1 << 14
@@ -324,7 +336,10 @@ def _grid_neighbours(coords, lo, cell, search):
       found only from its earlier point, one in vertically adjacent cells
       only from the lower point, and any other neighbouring pair only
       from the left point.  So each pair closer than ``cell`` comes out
-      exactly once, and s != p.
+      exactly once, and s != p.  ``_band_forest`` passes every point
+      while more than half of them lie outside the largest component:
+      half of all neighbouring pairs are then fewer than the full stencil
+      yields from the points outside it.
 
     A chunk holds about _BAND_CHUNK pairs, more only when one point's
     cells alone hold more.
@@ -360,6 +375,60 @@ def _grid_neighbours(coords, lo, cell, search):
             yield np.repeat(owner[part], ln), order[pos]
 
 
+def _boruvka(n_comp: int, a: np.ndarray, b: np.ndarray):
+    """Minimum spanning forest of ``n_comp`` components joined by the
+    int32 edges (a[k], b[k]), a[k] != b[k], where edge k has rank k.
+
+    Returns the picked positions k, the new component count and each old
+    component's new label.  Ranks are distinct, so the forest is unique
+    and Boruvka's rounds (Boruvka 1926; Nesetril et al., "Otakar Boruvka
+    on minimum spanning tree problem", 2001) pick the edges Kruskal picks
+    in rank order.  Each round every component points across its cheapest
+    edge; two components that pick the same edge point at each other, and
+    the smaller label becomes their root.  Pointer jumping then finds each
+    component's root, and edges inside one new component are dropped.
+    """
+    label = np.arange(n_comp, dtype=np.int32)
+    pos = np.arange(len(a), dtype=np.int32)
+    picked = []
+    # spent arrays are dropped at once: in the first band n_comp = n
+    while len(pos):
+        idx = np.arange(n_comp, dtype=np.int32)
+        best = np.full(n_comp, len(pos), dtype=np.int32)
+        rank = np.arange(len(pos), dtype=np.int32)
+        np.minimum.at(best, a, rank)
+        np.minimum.at(best, b, rank)
+        del rank
+        src = np.flatnonzero(best < len(pos)).astype(np.int32)
+        e = best[src]
+        del best
+        chosen = np.zeros(len(pos), dtype=bool)
+        chosen[e] = True  # a mutual pair picks its edge twice
+        picked.append(pos[chosen])
+        del chosen
+        parent = idx.copy()
+        parent[src] = np.where(a[e] == src, b[e], a[e])
+        del src, e
+        mutual = (parent[parent] == idx) & (idx < parent)
+        parent[mutual] = idx[mutual]
+        del mutual
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        new = np.cumsum(parent == idx, dtype=np.int32)
+        new -= 1
+        n_comp = int(new[-1]) + 1
+        new = new[parent]
+        del parent, idx
+        label = new[label]
+        a, b = new[a], new[b]
+        keep = a != b
+        a, b, pos = a[keep], b[keep], pos[keep]
+    return (np.concatenate(picked) if picked else pos), n_comp, label
+
+
 def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit):
     """Run kappa-Kruskal over one band: the pairs with h < limit that join
     two of the ``n_comp`` components labelled by ``comp``.
@@ -367,16 +436,21 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit):
     Returns the tree edges (i, j, h) it adds, the new component count and
     the new labels.
 
-    The radius search starts from points outside the largest component,
-    since every pair that joins two components has such an end.  While
-    every component is a single point it starts from all points, and the
-    half stencil then yields each pair once.  Pairs with a discount end
-    come from that end's full row instead.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.csgraph import minimum_spanning_tree as kruskal_forest
+    Every pair that joins two components has an end outside the largest
+    one.  While at most half the points lie outside it, the radius search
+    starts from those points, with the full stencil.  When more lie
+    outside, as in the first band, where every component is a single
+    point, it starts from all points: the half stencil then yields each
+    pair once, at less cost than the full stencil from most points, and
+    pairs inside one component are dropped.  The pair set is the same
+    either way.  Pairs with a discount end come from that end's full row
+    instead.
 
+    The band's cheapest pairs between two components, in kappa order, are
+    the edges of the component graph, and a pair's position is its kappa
+    rank.  Ranks are distinct, so Boruvka's forest on them (`_boruvka`) is
+    the forest kappa-Kruskal builds.
+    """
     n = len(comp)
     singles = n_comp == n
     has_cheap = cheap.any()
@@ -390,15 +464,19 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit):
         best = _cheapest_per_component_pair(comp, n_comp, i, j, h)
         found.append((i[best], j[best], h[best]))
 
-    if singles:
-        search = np.arange(n, dtype=np.int32)
-    else:
-        giant = np.bincount(comp).argmax()
-        search = np.flatnonzero(comp != giant).astype(np.int32)
+    search = np.arange(n, dtype=np.int32)
+    if not singles:
+        sizes = np.bincount(comp)
+        giant = sizes.argmax()
+        if 2 * (n - sizes[giant]) <= n:
+            search = np.flatnonzero(comp != giant).astype(np.int32)
+    wide = len(search) == n
     for s, p in _grid_neighbours(coords, lo, cell, search):
-        if not singles:  # a pair with both ends searched is found twice
-            once = (comp[s] != comp[p]) & ((comp[p] == giant) | (s < p))
-            s, p = s[once], p[once]
+        if not singles:
+            joins = comp[s] != comp[p]
+            if not wide:  # a pair with both ends searched is found twice
+                joins &= (comp[p] == giant) | (s < p)
+            s, p = s[joins], p[joins]
         if has_cheap:  # a pair with a discount end comes from that end's row
             far = ~(cheap[s] | cheap[p])
             s, p = s[far], p[far]
@@ -412,15 +490,9 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit):
     del found
     best = _cheapest_per_component_pair(comp, n_comp, i, j, h)
     i, j, h = i[best], j[best], h[best]
-    # Kruskal on the component graph, weighted by kappa rank
-    rank = np.arange(1.0, len(h) + 1.0)
-    graph = csr_matrix((rank, (comp[i], comp[j])), shape=(n_comp, n_comp))
-    del rank
-    forest = kruskal_forest(graph, overwrite=True).tocoo()
-    del graph
-    picked = forest.data.astype(np.int64) - 1
-    n_comp, label = connected_components(forest, directed=False)
-    return (i[picked], j[picked], h[picked]), n_comp, label[comp].astype(np.int32)
+    del best
+    picked, n_comp, label = _boruvka(n_comp, comp[i], comp[j])
+    return (i[picked], j[picked], h[picked]), n_comp, label[comp]
 
 
 def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
@@ -531,6 +603,48 @@ def minimum_spanning_tree(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     return (mst_kruskal if small else mst_bands)(spec, coords)
 
 
+class NotASpanningTreeError(ValueError):
+    """An edge set given as a tree that is not a spanning tree of the
+    points: a wrong edge or weight count, an endpoint out of range, or a
+    vertex that the tree does not reach."""
+
+
+def _tree_adjacency(n: int, result: MstResult) -> list[list[tuple[int, int]]]:
+    """(neighbour, edge position) lists of the tree ``result`` on n points.
+
+    Raises NotASpanningTreeError unless the edges form a spanning tree:
+    n - 1 of them, each end in range, and every vertex reached from
+    vertex 0 (n - 1 edges that reach n vertices hold no cycle).
+    """
+    ei = np.asarray(result.edge_i).tolist()
+    ej = np.asarray(result.edge_j).tolist()
+    want = max(n - 1, 0)
+    if not len(ei) == len(ej) == len(result.base_weights) == want:
+        raise NotASpanningTreeError(
+            f"a spanning tree of {n} points has {want} edges and weights, "
+            f"got {len(ei)}, {len(ej)} and {len(result.base_weights)}"
+        )
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (a, b) in enumerate(zip(ei, ej)):
+        if not (0 <= a < n and 0 <= b < n):
+            raise NotASpanningTreeError(f"edge {k} ({a}, {b}) leaves 0..{n - 1}")
+        adj[a].append((b, k))
+        adj[b].append((a, k))
+    seen = [False] * n
+    stack = [0] if n else []
+    while stack:
+        u = stack.pop()
+        if not seen[u]:
+            seen[u] = True
+            stack.extend(v for v, _ in adj[u])
+    if not all(seen):
+        raise NotASpanningTreeError(
+            f"vertex {seen.index(False)} is not reached: the edges do not "
+            "span, so they close a cycle"
+        )
+    return adj
+
+
 def verify_path_criterion(
     spec: WeightSpec, coords: np.ndarray, result: MstResult
 ) -> tuple[bool, tuple[int, int] | None]:
@@ -539,18 +653,17 @@ def verify_path_criterion(
     T is the minimum tree iff for each non-tree edge e = (i, j), every
     edge f on the tree path between i and j satisfies kappa(f) < kappa(e).
     Returns (True, None) or (False, witness_pair).  The coordinates are
-    checked as the solvers check theirs.
+    checked as the solvers check theirs, and an edge set that is not a
+    spanning tree raises NotASpanningTreeError.
     """
     coords = _validate_coords(coords)
     n = len(coords)
+    adj = _tree_adjacency(n, result)
     if n < 2:
         return True, None
     row = row_weight_fn(spec, coords)
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    weights = result.base_weights.tolist()
     tree_edges = result.edge_set()
-    for a, b, wv in zip(result.edge_i, result.edge_j, result.base_weights):
-        adj[int(a)].append((int(b), float(wv)))
-        adj[int(b)].append((int(a), float(wv)))
     for root in range(n):
         # max kappa along the tree path from root to every other vertex
         max_kappa: list[tuple[float, int, int] | None] = [None] * n
@@ -559,11 +672,11 @@ def verify_path_criterion(
         seen[root] = True
         while stack:
             u = stack.pop()
-            for v, wv in adj[u]:
+            for v, k in adj[u]:
                 if seen[v]:
                     continue
                 seen[v] = True
-                k_edge = (wv, min(u, v), max(u, v))
+                k_edge = (weights[k], min(u, v), max(u, v))
                 prev = max_kappa[u]
                 max_kappa[v] = k_edge if prev is None or k_edge > prev else prev
                 stack.append(v)
@@ -598,29 +711,26 @@ def verify_cut_property(
 
     Removing a tree edge splits the vertices in two; the removed edge has
     to beat every other edge crossing that split.  O(n^3)-ish, intended
-    for n up to a few hundred.
+    for n up to a few hundred.  Inputs are checked as in
+    ``verify_path_criterion``.
     """
-    coords = np.asarray(coords, dtype=float)
+    coords = _validate_coords(coords)
     n = len(coords)
+    adj = _tree_adjacency(n, result)
     if n < 2:
         return True, None
     w = weight_matrix(spec, coords)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in zip(result.edge_i, result.edge_j):
-        adj[int(a)].append(int(b))
-        adj[int(b)].append(int(a))
     idx = np.arange(n)
-    for a, b, wv in zip(result.edge_i, result.edge_j, result.base_weights):
-        a, b = int(a), int(b)
+    for cut_k, (a, b, wv) in enumerate(
+        zip(result.edge_i.tolist(), result.edge_j.tolist(), result.base_weights)
+    ):
         side = np.zeros(n, dtype=bool)  # component of a once (a, b) is cut
         side[a] = True
         stack = [a]
         while stack:
             u = stack.pop()
-            for v in adj[u]:
-                if not side[v] and not (u == a and v == b) and not (
-                    u == b and v == a
-                ):
+            for v, k in adj[u]:
+                if not side[v] and k != cut_k:
                     side[v] = True
                     stack.append(v)
         cross_w = w[np.ix_(side, ~side)]

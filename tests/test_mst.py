@@ -7,6 +7,7 @@ Pruefer-based brute solver is validated against it, and the production
 solvers against both.
 """
 
+import contextlib
 import itertools
 import math
 from unittest import mock
@@ -19,6 +20,7 @@ from locmst.mst import (
     DuplicatePointsError,
     InvalidCoordinatesError,
     InvalidKError,
+    NotASpanningTreeError,
     TooLargeForBruteForceError,
     alpha_invariance_check,
     minimum_spanning_tree,
@@ -39,7 +41,10 @@ from locmst.mst import (
     _BAND_CHUNK,
     _GRID_CELLS,
     _KRUSKAL_MAX_N,
+    MstResult,
     SpecMissingPropertyError,
+    _band_forest,
+    _boruvka,
     _grid_neighbours,
 )
 from locmst.weights import (
@@ -222,7 +227,7 @@ def assert_same_tree(got, want):
 # Input families for the band solver: each must give Prim's tree exactly.
 BAND_FAMILIES = (
     "uniform", "lattice", "collinear", "zero_area", "cell_boundaries",
-    "rescaled", "far_clusters", "moat", "discount_points",
+    "rescaled", "far_clusters", "moat", "discount_points", "frame",
 )
 
 
@@ -253,6 +258,13 @@ def band_instance(family: str, n: int, rng) -> np.ndarray:
         pts = rng.random((6 * n, 2))
         outside = pts[np.abs(pts - 0.5).max(axis=1) > 0.35][: n - 5]
         return np.vstack([0.5 + 0.01 * rng.random((5, 2)), outside])
+    if family == "frame":  # a thin frame around an empty square, like
+        # the good-square probe's background
+        along, depth = rng.random(n), 0.03 * rng.random(n)
+        pts = np.stack([along, np.where(rng.random(n) < 0.5, depth, 1 - depth)], 1)
+        turn = rng.random(n) < 0.5
+        pts[turn] = pts[turn, ::-1]
+        return pts
     if family == "discount_points":  # inside and on the corners of the cells
         cells = hotspot_spec().layout.central_cells()
         pts = rng.random((n, 2))
@@ -280,24 +292,32 @@ def pair_distances(pts) -> np.ndarray:
 def test_band_solver_equals_prim_exactly(family, kind, n, seed, tiny_start):
     spec = spec_from_kind(kind)
     pts = band_instance(family, n, np.random.default_rng(seed))
-    if not tiny_start:
+    grid = mock.Mock(wraps=_grid_neighbours)
+    band = mock.Mock(wraps=_band_forest)
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(mst_module, "_grid_neighbours", grid))
+        patches.enter_context(mock.patch.object(mst_module, "_band_forest", band))
+        if tiny_start:
+            # a first radius below every pair distance: the first bands
+            # merge nothing, so the all-points half stencil runs more than once
+            d = pair_distances(pts)
+            np.fill_diagonal(d, np.inf)
+            patches.enter_context(mock.patch.object(
+                mst_module, "_initial_radius", return_value=d.min() / 8))
         got = mst_bands(spec, pts)
-    else:
-        # a first radius below every pair distance: the first bands merge
-        # nothing, so the all-points half stencil runs more than once
-        d = pair_distances(pts)
-        np.fill_diagonal(d, np.inf)
-        spy = mock.Mock(wraps=_grid_neighbours)
-        with mock.patch.object(mst_module, "_initial_radius",
-                               return_value=d.min() / 8), \
-                mock.patch.object(mst_module, "_grid_neighbours", spy):
-            got = mst_bands(spec, pts)
-        all_points = [len(c.args[3]) == len(pts) for c in spy.call_args_list]
+    # one grid search per band
+    all_points = [len(c.args[3]) == len(pts) for c in grid.call_args_list]
+    merged = [c.args[5] < len(pts) for c in band.call_args_list]
+    if tiny_start:
         # unless discount rows merge early or the radius is raised to the
         # finest grid, nothing merges before the third band
         finest = np.ptp(pts, axis=0).max() / _GRID_CELLS
         if d.min() / 8 > finest and not in_central_cells(spec, pts).any():
             assert all_points[:2] == [True, True]
+    if family == "frame" and n >= 64:
+        # after the first merges most of a thin frame lies outside the
+        # largest component, so a later band searches from all points
+        assert any(m and a for m, a in zip(merged, all_points))
     assert_same_tree(got, mst_prim_dense(spec, pts))
 
 
@@ -349,6 +369,60 @@ def test_subset_stencil_yields_every_close_pair_of_the_subset(family, chunk):
                 want = {(a, b) for a, b in close_pairs(pts, cell)
                         if a in searched or b in searched}
                 assert want <= got
+
+
+def kruskal_by_rank(n_comp, a, b):
+    """Kruskal over edges ranked by position: picked positions and each
+    component's root, with a plain union-find."""
+    parent = list(range(n_comp))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    picked = []
+    for k, (u, v) in enumerate(zip(a, b)):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+            picked.append(k)
+    return picked, [find(c) for c in range(n_comp)]
+
+
+def assert_boruvka_matches_kruskal(n_comp, a, b):
+    a = np.asarray(a, dtype=np.int32)
+    b = np.asarray(b, dtype=np.int32)
+    picked, count, label = _boruvka(n_comp, a, b)
+    want_picked, roots = kruskal_by_rank(n_comp, a.tolist(), b.tolist())
+    assert sorted(picked.tolist()) == want_picked
+    assert count == len(set(roots))
+    assert label.dtype == np.int32 and sorted(set(label.tolist())) == list(range(count))
+    # the same partition: labels and roots correspond one to one
+    assert len(set(zip(roots, label.tolist()))) == count
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_boruvka_equals_kruskal_on_ranked_multigraphs(seed):
+    rng = np.random.default_rng(seed)
+    n_comp = int(rng.integers(1, 60))
+    # edges touch only the first `used` components; the rest stay isolated
+    used = int(rng.integers(1, n_comp + 1))
+    m = int(rng.integers(0, 4 * used)) if used > 1 else 0
+    a = rng.integers(0, used, m)
+    b = (a + rng.integers(1, used, m)) % used if m else a
+    assert_boruvka_matches_kruskal(n_comp, a, b)
+
+
+def test_boruvka_small_cases():
+    assert_boruvka_matches_kruskal(2, [1], [0])  # a single edge
+    assert_boruvka_matches_kruskal(4, [], [])  # no edges
+    assert_boruvka_matches_kruskal(1, [], [])
+    assert_boruvka_matches_kruskal(5, [0, 1, 0, 3], [1, 0, 2, 0])  # parallel edges
+    picked, count, label = _boruvka(3, np.array([0, 1, 0], np.int32),
+                                    np.array([1, 2, 2], np.int32))
+    assert picked.tolist() == [0, 1] and count == 1 and label.tolist() == [0, 0, 0]
 
 
 @pytest.mark.parametrize("spec", [
@@ -456,6 +530,58 @@ def test_cut_property_on_random_instances(seed):
     r = minimum_spanning_tree(spec, pts)
     ok, witness = verify_cut_property(spec, pts, r)
     assert ok, f"cut property violated at {witness}"
+
+
+VERIFIERS = (verify_path_criterion, verify_cut_property)
+
+
+def edges_as_tree(edges, n):
+    """An MstResult over the given (i, j) edges; the check never reads
+    the weights of an edge set that is not a spanning tree."""
+    i, j = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return MstResult(n=n, edge_i=i, edge_j=j, base_weights=np.ones(len(i)))
+
+
+NOT_SPANNING = {
+    # 5 edges on 6 points with the cycle 0-1-2; point 5 is left out
+    "cycle": [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)],
+    "too_few": [(0, 1), (1, 2), (2, 3), (3, 4)],
+    "too_many": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)],
+    "out_of_range": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 6)],
+    "negative": [(0, 1), (1, 2), (2, 3), (3, 4), (-1, 4)],
+    "self_loop": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 4)],
+    "repeated": [(0, 1), (1, 2), (2, 3), (3, 4), (3, 4)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_SPANNING))
+@pytest.mark.parametrize("verify", VERIFIERS)
+def test_verifiers_reject_an_edge_set_that_is_not_a_spanning_tree(verify, case):
+    pts = np.random.default_rng(3).random((6, 2))
+    with pytest.raises(NotASpanningTreeError):
+        verify(euclidean_spec(), pts, edges_as_tree(NOT_SPANNING[case], 6))
+
+
+@pytest.mark.parametrize("verify", VERIFIERS)
+def test_verifiers_reject_a_weight_count_that_is_not_the_edge_count(verify):
+    spec = euclidean_spec()
+    pts = np.random.default_rng(3).random((6, 2))
+    tree = minimum_spanning_tree(spec, pts)
+    short = MstResult(n=6, edge_i=tree.edge_i, edge_j=tree.edge_j,
+                      base_weights=tree.base_weights[:-1])
+    with pytest.raises(NotASpanningTreeError):
+        verify(spec, pts, short)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+@pytest.mark.parametrize("verify", VERIFIERS)
+def test_verifiers_reject_bad_coordinates(verify, bad):
+    spec = euclidean_spec()
+    pts = np.random.default_rng(5).random((6, 2))
+    tree = minimum_spanning_tree(spec, pts)
+    pts[2, 1] = bad
+    with pytest.raises(InvalidCoordinatesError, match="point 2 "):
+        verify(spec, pts, tree)
 
 
 @given(seed=st.integers(0, 100_000))
