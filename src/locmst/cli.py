@@ -91,6 +91,9 @@ def cmd_bounds(args) -> int:
         alphas.extend(args.alpha_grid)
     if not alphas:
         alphas = [1.0]
+    if args.plot and len(alphas) < 2:
+        print("locmst: --plot needs an alpha grid", file=sys.stderr)
+        return 2
     results = [
         compute_bounds(a, args.eps1, args.eps2, args.c1, args.c2) for a in alphas
     ]
@@ -104,9 +107,6 @@ def cmd_bounds(args) -> int:
         doc = results[0] if len(results) == 1 else results
         write_text(args.out, bounds_to_json(doc, config))
     if args.plot:
-        if len(results) < 2:
-            print("locmst: --plot needs an alpha grid", file=sys.stderr)
-            return 2
         xs = [r.alpha for r in results]
         chart = line_chart(
             [

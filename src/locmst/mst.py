@@ -652,9 +652,11 @@ def verify_path_criterion(
 
     T is the minimum tree iff for each non-tree edge e = (i, j), every
     edge f on the tree path between i and j satisfies kappa(f) < kappa(e).
-    Returns (True, None) or (False, witness_pair).  The coordinates are
-    checked as the solvers check theirs, and an edge set that is not a
-    spanning tree raises NotASpanningTreeError.
+    Returns (True, None) or (False, witness_pair).  The tree's own edges
+    are priced too: a recorded weight that is not bit-identical to h of
+    its edge is the witness.  The coordinates are checked as the solvers
+    check theirs, and an edge set that is not a spanning tree raises
+    NotASpanningTreeError.
     """
     coords = _validate_coords(coords)
     n = len(coords)
@@ -662,7 +664,11 @@ def verify_path_criterion(
     if n < 2:
         return True, None
     row = row_weight_fn(spec, coords)
-    weights = result.base_weights.tolist()
+    weights = row(result.edge_i, result.edge_j).tolist()
+    for a, b, w, recorded in zip(result.edge_i.tolist(), result.edge_j.tolist(),
+                                 weights, result.base_weights.tolist()):
+        if w != recorded:
+            return False, (a, b)
     tree_edges = result.edge_set()
     for root in range(n):
         # max kappa along the tree path from root to every other vertex
@@ -702,54 +708,6 @@ def alpha_invariance_check(
     base = row_weight_fn(spec, coords)(ii, jj)
     edge_sets = {frozenset(_kruskal(n, ii, jj, base**alpha)) for alpha in alphas}
     return len(edge_sets) <= 1
-
-
-def verify_cut_property(
-    spec: WeightSpec, coords: np.ndarray, result: MstResult
-) -> tuple[bool, tuple[int, int] | None]:
-    """Each tree edge must be the kappa-minimal edge across its own cut.
-
-    Removing a tree edge splits the vertices in two; the removed edge has
-    to beat every other edge crossing that split.  O(n^3)-ish, intended
-    for n up to a few hundred.  Inputs are checked as in
-    ``verify_path_criterion``.
-    """
-    coords = _validate_coords(coords)
-    n = len(coords)
-    adj = _tree_adjacency(n, result)
-    if n < 2:
-        return True, None
-    w = weight_matrix(spec, coords)
-    idx = np.arange(n)
-    for cut_k, (a, b, wv) in enumerate(
-        zip(result.edge_i.tolist(), result.edge_j.tolist(), result.base_weights)
-    ):
-        side = np.zeros(n, dtype=bool)  # component of a once (a, b) is cut
-        side[a] = True
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            for v, k in adj[u]:
-                if not side[v] and k != cut_k:
-                    side[v] = True
-                    stack.append(v)
-        cross_w = w[np.ix_(side, ~side)]
-        left = idx[side]
-        right = idx[~side]
-        m = cross_w.min()
-        if m < wv:
-            r, c = np.unravel_index(np.argmin(cross_w), cross_w.shape)
-            return False, (int(left[r]), int(right[c]))
-        if m == wv:
-            rr, cc = np.nonzero(cross_w == m)
-            pairs = sorted(
-                (min(int(left[r]), int(right[c])),
-                 max(int(left[r]), int(right[c])))
-                for r, c in zip(rr, cc)
-            )
-            if pairs[0] != (min(a, b), max(a, b)):
-                return False, pairs[0]
-    return True, None
 
 
 class InvalidKError(ValueError):

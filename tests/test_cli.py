@@ -31,6 +31,10 @@ class TestBoundsCommand:
         payload = doc["result"]
         assert payload["beta_low"] == pytest.approx(0.0216525, rel=1e-3)
         assert payload["beta_up"] == pytest.approx(13.8772, rel=1e-3)
+        assert run_cli("bounds", "--alpha", "1", "--alpha", "2", "--out", out) == 0
+        both = json.loads(out.read_text())["result"]
+        assert [r["alpha"] for r in both] == [1.0, 2.0]
+        assert both[1] == payload
 
     def test_grid_sweep_plot_is_valid_svg(self, tmp_path):
         svg = tmp_path / "sweep.svg"
@@ -42,10 +46,13 @@ class TestBoundsCommand:
         assert root.tag.endswith("svg")
 
     def test_plot_needs_at_least_two_alphas(self, tmp_path):
+        # a usage error, found before any bound is computed or written
+        out = tmp_path / "y.json"
         code = run_cli(
-            "bounds", "--alpha", "1", "--plot", tmp_path / "x.svg",
+            "bounds", "--alpha", "1", "--out", out, "--plot", tmp_path / "x.svg",
         )
         assert code == 2
+        assert not out.exists()
 
     def test_invalid_alpha_is_a_usage_error(self, capsys):
         assert run_cli("bounds", "--alpha", "0") == 2
@@ -103,11 +110,12 @@ class TestStudyCommands:
     def test_scaling_happy_path(self, tmp_path, capsys):
         csv_path = tmp_path / "records.csv"
         json_path = tmp_path / "fits.json"
+        svg_path = tmp_path / "scaling.svg"
         code = run_cli(
             "scaling", "--kind", "euclidean", "--alpha", "1",
             "--n-list", self.N_LIST, "--reps", "30", "--seed", "11",
             "--slope-tol", "2.0",
-            "--out-csv", csv_path, "--out-json", json_path,
+            "--out-csv", csv_path, "--out-json", json_path, "--plot", svg_path,
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -116,6 +124,7 @@ class TestStudyCommands:
         assert fits[0]["quantity"] == "mean"
         header = csv_path.read_text().splitlines()
         assert any(ln.startswith("experiment,") for ln in header)
+        assert ET.parse(svg_path).getroot().tag.endswith("svg")
 
     def test_scaling_csv_is_reproducible_modulo_runtime(self, tmp_path):
         def grab(name):
@@ -179,14 +188,16 @@ class TestStudyCommands:
 
 
 class TestConstructionCommands:
-    def test_prop1_planted(self, capsys):
+    @pytest.mark.parametrize("mode", ["planted", "conditional"])
+    def test_prop1_planted(self, capsys, mode):
         code = run_cli(
-            "prop1", "--K", "2", "--mode", "planted", "--reps", "1",
+            "prop1", "--K", "2", "--mode", mode, "--reps", "1",
             "--seed", "0",
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "star" in out.lower()
+        assert f"mode={mode} " in out
+        assert "occurrences=1/1 star_ok=1 " in out
 
     def test_prop1_raw_reports_rarity(self, capsys):
         code = run_cli(
