@@ -669,7 +669,9 @@ def verify_path_criterion(
                                  weights, result.base_weights.tolist()):
         if w != recorded:
             return False, (a, b)
-    tree_edges = result.edge_set()
+    # as (low, high) pairs: the lookup below must not depend on how the
+    # tree writes its edges
+    tree_edges = {(min(a, b), max(a, b)) for a, b in result.edge_set()}
     for root in range(n):
         # max kappa along the tree path from root to every other vertex
         max_kappa: list[tuple[float, int, int] | None] = [None] * n

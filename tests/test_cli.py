@@ -1,7 +1,12 @@
-"""Exercises the `locmst` command line through its Python entry point."""
+"""Exercises the `locmst` command line through its Python entry point,
+and the README's reproduction commands as real processes."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,3 +235,65 @@ def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The README's "Reproducing the paper" runs, each as a real process.  These
+# run exactly as the README writes them; the alpha sweep and the two
+# studies below are cut down from their minute-long defaults.
+AS_DOCUMENTED = {
+    "bounds": "bounds --alpha 1 --alpha 2 --out bounds.json",
+    "bounds-eps": "bounds --alpha 1 --eps1 0.5 --eps2 1.1666666666666667",
+    "prop1-planted": "prop1 --K 2 --mode planted --reps 3",
+    "prop1-conditional": "prop1 --K 2 --mode conditional --reps 3",
+    "prop1-raw": "prop1 --K 2 --mode raw --reps 1",
+    "good-square": "probe-good-square --g 5 --n 10000 --alpha 1,2",
+}
+CUT_DOWN = {
+    "bounds-sweep": "bounds --alpha-grid 1:2:1 --plot bounds.svg",
+    "scaling": "scaling --alpha 1,2 --n-list 16,24,32,48 --reps 200"
+               " --slope-tol 9 --out-csv records.csv --out-json mean.json"
+               " --plot mean.svg",
+    "variance": "variance --alpha 1,2 --n-list 16,24,32,48 --reps 200"
+                " --slope-tol 9 --out-json variance.json --plot variance.svg",
+}
+
+
+def run_process(argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "locmst.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_the_readme_lists_the_commands_run_as_documented():
+    readme = (ROOT / "README.md").read_text()
+    for command in AS_DOCUMENTED.values():
+        assert f"locmst {command}\n" in readme, command
+
+
+@pytest.mark.parametrize("name", [*AS_DOCUMENTED, *CUT_DOWN])
+def test_reproduction_command_as_a_process(tmp_path, name):
+    argv = {**AS_DOCUMENTED, **CUT_DOWN}[name].split()
+    proc = run_process(argv, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    for flag, path in zip(argv, argv[1:]):
+        if flag == "--out-csv":
+            assert (tmp_path / path).read_text().count("\n") > 1
+        elif flag in ("--out", "--out-json"):
+            assert "result" in json.loads((tmp_path / path).read_text())
+        elif flag == "--plot":
+            assert ET.parse(tmp_path / path).getroot().tag.endswith("svg")
+
+
+def test_usage_errors_exit_2_as_a_process(tmp_path):
+    assert run_process([], tmp_path).returncode == 2
+    proc = run_process(["bounds", "--alpha", "0"], tmp_path)
+    assert proc.returncode == 2
+    assert "locmst:" in proc.stderr

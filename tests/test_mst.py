@@ -517,6 +517,32 @@ def test_path_criterion_prices_the_tree_edges():
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_path_criterion_prices_one_ulp_off(kind):
+    # the solvers' weights are bit-identical to h, so a single edge's
+    # weight nudged by one ulp is already the witness
+    spec = spec_from_kind(kind)
+    pts = np.random.default_rng(7).random((12, 2))
+    tree = minimum_spanning_tree(spec, pts)
+    w = tree.base_weights.copy()
+    w[5] = np.nextafter(w[5], np.inf)
+    off = MstResult(n=12, edge_i=tree.edge_i, edge_j=tree.edge_j, base_weights=w)
+    witness = (int(tree.edge_i[5]), int(tree.edge_j[5]))
+    assert verify_path_criterion(spec, pts, off) == (False, witness)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_path_criterion_accepts_either_edge_orientation(kind):
+    # the minimum tree written as (j, i) pairs is still the minimum tree
+    spec = spec_from_kind(kind)
+    pts = np.random.default_rng(1).random((8, 2))
+    tree = minimum_spanning_tree(spec, pts)
+    swapped = MstResult(n=8, edge_i=tree.edge_j, edge_j=tree.edge_i,
+                        base_weights=tree.base_weights)
+    assert verify_path_criterion(spec, pts, tree) == (True, None)
+    assert verify_path_criterion(spec, pts, swapped) == (True, None)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_path_criterion_rejects_coincident_points(kind):
     # the check validates its input as the solvers do, so the coincident
     # non-tree pair (0, 3) is named, not priced
