@@ -195,10 +195,14 @@ def cells_of(tiling: Tiling, coords: np.ndarray) -> np.ndarray:
     boundary hits are rare and re-routed through the scalar rule.
     """
     coords = np.asarray(coords, dtype=float)
+    inside = (coords >= 0.0) & (coords <= 1.0)  # False for NaN too
+    if not inside.all():
+        k = np.flatnonzero(~inside.all(axis=1))[0]
+        cell_of(tiling, coords[k, 0], coords[k, 1])  # raises its ValueError
     s = tiling.s
     v = coords * s
     cr = np.floor(v).astype(np.int64)
-    np.clip(cr, 0, s - 1, out=cr)
+    np.minimum(cr, s - 1, out=cr)  # a coordinate of 1.0 is in the last cell
     col = cr[:, 0]
     row = s - 1 - cr[:, 1]
     idx = np.where(col % 2 == 0, col * s + row + 1, col * s + (s - 1 - row) + 1)

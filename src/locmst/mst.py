@@ -228,30 +228,37 @@ def mst_prim_dense(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     return _sorted_result(n, out_i, out_j, out_w)
 
 
-def _kruskal(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> list[int]:
-    """Positions of the kappa-Kruskal tree's edges among the pairs (ii, jj, ww).
+def _merges(n: int, ii: np.ndarray, jj: np.ndarray, order: np.ndarray):
+    """Kruskal's union loop over the pairs (ii[k], jj[k]) of n points,
+    taken in ``order``; stops after n - 1 merges.
 
-    Each point carries its component's label and each component a list of
-    its members; a union relabels the smaller component (weighted union,
-    Cormen et al., Introduction to Algorithms, section 21.2).
+    Yields (k, members_a, members_b) for each pair k that joins two
+    components, members_a the larger; the lists are valid until the next
+    step.  Each point carries its component's label and each component a
+    list of its members; a union relabels the smaller component (weighted
+    union, Cormen et al., Introduction to Algorithms, section 21.2).
     """
-    order = _kappa_order(ii, jj, ww)
     label = list(range(n))
     members = [[v] for v in range(n)]
-    chosen = []
+    left = n - 1
     for k, a, b in zip(order.tolist(), ii[order].tolist(), jj[order].tolist()):
         la, lb = label[a], label[b]
         if la == lb:
             continue
         if len(members[la]) < len(members[lb]):
             la, lb = lb, la
+        yield k, members[la], members[lb]
         for v in members[lb]:
             label[v] = la
         members[la] += members[lb]
-        chosen.append(k)
-        if len(chosen) == n - 1:
-            break
-    return chosen
+        left -= 1
+        if left == 0:
+            return
+
+
+def _kruskal(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> list[int]:
+    """Positions of the kappa-Kruskal tree's edges among the pairs (ii, jj, ww)."""
+    return [k for k, _, _ in _merges(n, ii, jj, _kappa_order(ii, jj, ww))]
 
 
 def mst_kruskal(spec: WeightSpec, coords: np.ndarray) -> MstResult:
@@ -605,96 +612,70 @@ def minimum_spanning_tree(spec: WeightSpec, coords: np.ndarray) -> MstResult:
 
 class NotASpanningTreeError(ValueError):
     """An edge set given as a tree that is not a spanning tree of the
-    points: a wrong edge or weight count, an endpoint out of range, or a
-    vertex that the tree does not reach."""
+    points: a wrong edge or weight count, an endpoint out of range, or
+    edges that close a cycle."""
 
 
-def _tree_adjacency(n: int, result: MstResult) -> list[list[tuple[int, int]]]:
-    """(neighbour, edge position) lists of the tree ``result`` on n points.
+def verify_path_criterion(
+    spec: WeightSpec, coords: np.ndarray, result: MstResult
+) -> tuple[bool, tuple[int, int] | None]:
+    """Check the tree against every non-tree pair.
 
-    Raises NotASpanningTreeError unless the edges form a spanning tree:
-    n - 1 of them, each end in range, and every vertex reached from
-    vertex 0 (n - 1 edges that reach n vertices hold no cycle).
+    T is the minimum tree iff for each non-tree pair e = (i, j), every
+    edge f on the tree path between i and j satisfies kappa(f) < kappa(e).
+    The check replays Kruskal over the tree's own edges in kappa order
+    (Komlos, "Linear verification for spanning trees", 1985): the edge f
+    that joins components A and B is the largest on the tree path of
+    every pair in A x B, so no other pair there may have a smaller kappa.
+    Each pair is priced once, in numpy blocks of at most _BAND_CHUNK
+    pairs: O(n^2) work, a few thousand points in well under a second.
+
+    Returns (True, None) or (False, witness), the lexicographically first
+    violating pair.  The tree's own edges are priced too: a recorded
+    weight that is not bit-identical to h of its edge is the witness.  The
+    coordinates are checked as the solvers check theirs, and an edge set
+    that is not a spanning tree raises NotASpanningTreeError.
     """
-    ei = np.asarray(result.edge_i).tolist()
-    ej = np.asarray(result.edge_j).tolist()
+    coords = _validate_coords(coords)
+    n = len(coords)
+    ei, ej = np.asarray(result.edge_i), np.asarray(result.edge_j)
     want = max(n - 1, 0)
     if not len(ei) == len(ej) == len(result.base_weights) == want:
         raise NotASpanningTreeError(
             f"a spanning tree of {n} points has {want} edges and weights, "
             f"got {len(ei)}, {len(ej)} and {len(result.base_weights)}"
         )
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, (a, b) in enumerate(zip(ei, ej)):
-        if not (0 <= a < n and 0 <= b < n):
-            raise NotASpanningTreeError(f"edge {k} ({a}, {b}) leaves 0..{n - 1}")
-        adj[a].append((b, k))
-        adj[b].append((a, k))
-    seen = [False] * n
-    stack = [0] if n else []
-    while stack:
-        u = stack.pop()
-        if not seen[u]:
-            seen[u] = True
-            stack.extend(v for v, _ in adj[u])
-    if not all(seen):
-        raise NotASpanningTreeError(
-            f"vertex {seen.index(False)} is not reached: the edges do not "
-            "span, so they close a cycle"
-        )
-    return adj
-
-
-def verify_path_criterion(
-    spec: WeightSpec, coords: np.ndarray, result: MstResult
-) -> tuple[bool, tuple[int, int] | None]:
-    """Check the tree against every non-tree edge.
-
-    T is the minimum tree iff for each non-tree edge e = (i, j), every
-    edge f on the tree path between i and j satisfies kappa(f) < kappa(e).
-    Returns (True, None) or (False, witness_pair).  The tree's own edges
-    are priced too: a recorded weight that is not bit-identical to h of
-    its edge is the witness.  The coordinates are checked as the solvers
-    check theirs, and an edge set that is not a spanning tree raises
-    NotASpanningTreeError.
-    """
-    coords = _validate_coords(coords)
-    n = len(coords)
-    adj = _tree_adjacency(n, result)
+    outside = np.flatnonzero((ei < 0) | (ei >= n) | (ej < 0) | (ej >= n))
+    if len(outside):
+        k = outside[0]
+        raise NotASpanningTreeError(f"edge {k} ({ei[k]}, {ej[k]}) leaves 0..{n - 1}")
     if n < 2:
         return True, None
+    lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
     row = row_weight_fn(spec, coords)
-    weights = row(result.edge_i, result.edge_j).tolist()
-    for a, b, w, recorded in zip(result.edge_i.tolist(), result.edge_j.tolist(),
-                                 weights, result.base_weights.tolist()):
-        if w != recorded:
-            return False, (a, b)
-    # as (low, high) pairs: the lookup below must not depend on how the
-    # tree writes its edges
-    tree_edges = {(min(a, b), max(a, b)) for a, b in result.edge_set()}
-    for root in range(n):
-        # max kappa along the tree path from root to every other vertex
-        max_kappa: list[tuple[float, int, int] | None] = [None] * n
-        stack = [root]
-        seen = [False] * n
-        seen[root] = True
-        while stack:
-            u = stack.pop()
-            for v, k in adj[u]:
-                if seen[v]:
-                    continue
-                seen[v] = True
-                k_edge = (weights[k], min(u, v), max(u, v))
-                prev = max_kappa[u]
-                max_kappa[v] = k_edge if prev is None or k_edge > prev else prev
-                stack.append(v)
-        h = row(root).tolist()
-        for j in range(root + 1, n):
-            if (root, j) in tree_edges:
-                continue
-            if not max_kappa[j] < (h[j], root, j):
-                return False, (root, j)
-    return True, None
+    w = row(lo, hi)
+    first = n * n  # the key lo * n + hi of the first violating pair
+    merges = 0
+    for k, big, small in _merges(n, lo, hi, _kappa_order(lo, hi, w)):
+        merges += 1
+        big, small = np.array(big), np.array(small)
+        h_f, key_f = w[k], int(lo[k]) * n + int(hi[k])
+        step = max(1, _BAND_CHUNK // len(big))
+        for at in range(0, len(small), step):
+            s = small[at:at + step, None]
+            h = row(s, big)
+            key = np.minimum(s, big) * n + np.maximum(s, big)
+            bad = (h < h_f) | ((h == h_f) & (key < key_f))
+            first = int(key.min(initial=first, where=bad))
+    if merges < want:
+        raise NotASpanningTreeError(
+            f"the {want} edges close a cycle, so they do not span {n} points"
+        )
+    mispriced = np.flatnonzero(w != result.base_weights)
+    if len(mispriced):
+        k = mispriced[0]
+        return False, (int(ei[k]), int(ej[k]))
+    return (True, None) if first == n * n else (False, divmod(first, n))
 
 
 def alpha_invariance_check(

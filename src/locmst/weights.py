@@ -228,7 +228,8 @@ def pair_weight(spec: WeightSpec, u, v) -> float:
         ox, oy = spec.origin
         ru = _dist(u[0], u[1], ox, oy)
         rv = _dist(v[0], v[1], ox, oy)
-        return d + 0.5 * abs(ru - rv)
+        # |ru - rv| <= d exactly; the min keeps rounding inside the band
+        return d + 0.5 * min(abs(ru - rv), d)
     cheap = in_central_cells(spec, np.asarray([u, v]))
     return (spec.c1 if cheap.any() else spec.c2) * d
 
@@ -239,7 +240,8 @@ def row_weight_fn(spec: WeightSpec, coords: np.ndarray):
     ``row(k)`` is the whole row of point k, for matrix-free tree growth;
     ``row(i, j)`` with index arrays gives the weights of those pairs.  The
     arguments broadcast like numpy indices.  Every weight is
-    sqrt(dx*dx + dy*dy) followed by ``+ 0.5 * |r_i - r_j|`` (shifted) or
+    d = sqrt(dx*dx + dy*dy) followed by ``+ 0.5 * min(|r_i - r_j|, d)``
+    (shifted; the min only catches rounding near coincident points) or
     ``* c`` (hotspot), in exactly this operation order, the one
     ``pair_weight`` uses too, so all solvers see bit-identical weights.
     """
@@ -260,7 +262,8 @@ def row_weight_fn(spec: WeightSpec, coords: np.ndarray):
         r = _radii(spec, coords)
 
         def row(i, j=slice(None)) -> np.ndarray:
-            return dist(i, j) + 0.5 * np.abs(r[j] - r[i])
+            d = dist(i, j)
+            return d + 0.5 * np.minimum(np.abs(r[j] - r[i]), d)
 
     else:
         cheap = in_central_cells(spec, coords)

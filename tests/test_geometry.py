@@ -114,6 +114,19 @@ def test_cell_of_outside_domain():
             cell_of(t, x, y)
 
 
+def test_cells_of_rejects_points_outside_the_unit_square():
+    # these used to be clipped into cells 96, 8 and 8; the scalar lookup
+    # rejects each of them, and so does the vectorized one now
+    t = Tiling.from_grid(100, 10)
+    inside = [0.5, 0.5]
+    for bad in ([1.53, 0.537], [-0.31, 0.217], [np.nan, 0.217], [0.2, 1.0 + 1e-12]):
+        with pytest.raises(ValueError, match="outside the unit square"):
+            cell_of(t, *bad)
+        with pytest.raises(ValueError, match="outside the unit square"):
+            cells_of(t, np.array([inside, bad, inside]))
+    assert cells_of(t, np.array([[0.0, 0.0], [1.0, 1.0]])).tolist() == [10, 100]
+
+
 @given(
     s=st.integers(min_value=1, max_value=12),
     data=st.data(),

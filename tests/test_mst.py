@@ -52,6 +52,7 @@ from locmst.weights import (
     hotspot_spec,
     in_central_cells,
     pair_weight,
+    row_weight_fn,
     shifted_spec,
     spec_from_kind,
 )
@@ -307,9 +308,10 @@ def test_band_solver_equals_prim_exactly(family, kind, n, seed, tiny_start):
     # one grid search per band
     all_points = [len(c.args[3]) == len(pts) for c in grid.call_args_list]
     merged = [c.args[5] < len(pts) for c in band.call_args_list]
-    if tiny_start:
+    if tiny_start and len(pts) > 1:
         # unless discount rows merge early or the radius is raised to the
-        # finest grid, nothing merges before the third band
+        # finest grid, nothing merges before the third band (a family that
+        # dedupes its points can leave a single point, and no band at all)
         finest = np.ptp(pts, axis=0).max() / _GRID_CELLS
         if d.min() / 8 > finest and not in_central_cells(spec, pts).any():
             assert all_points[:2] == [True, True]
@@ -553,6 +555,152 @@ def test_path_criterion_rejects_coincident_points(kind):
     with pytest.raises(DuplicatePointsError) as err:
         verify_path_criterion(spec, pts, tree)
     assert err.value.indices == (0, 3)
+
+
+def path_criterion_by_tree_walk(spec, coords, result):
+    """The path criterion checked literally, the oracle for the verifier.
+
+    Prices the tree's edges as the verifier does, then walks the tree
+    from every root, recording the largest kappa on the path to each
+    vertex, and returns the first non-tree pair (root, j), root < j,
+    whose kappa is not above it: O(n^2) Python steps.  The edges must
+    form a spanning tree.
+    """
+    n = len(coords)
+    row = row_weight_fn(spec, coords)
+    ei, ej = result.edge_i.tolist(), result.edge_j.tolist()
+    weights = row(result.edge_i, result.edge_j).tolist()
+    for a, b, w, recorded in zip(ei, ej, weights, result.base_weights.tolist()):
+        if w != recorded:
+            return False, (a, b)
+    adj = [[] for _ in range(n)]
+    for k, (a, b) in enumerate(zip(ei, ej)):
+        adj[a].append((b, k))
+        adj[b].append((a, k))
+    tree_edges = {(min(a, b), max(a, b)) for a, b in zip(ei, ej)}
+    for root in range(n):
+        max_kappa = [None] * n
+        seen = [False] * n
+        seen[root] = True
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, k in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    edge = (weights[k], min(u, v), max(u, v))
+                    prev = max_kappa[u]
+                    max_kappa[v] = edge if prev is None or edge > prev else prev
+                    stack.append(v)
+        h = row(root).tolist()
+        for j in range(root + 1, n):
+            if (root, j) not in tree_edges and not max_kappa[j] < (h[j], root, j):
+                return False, (root, j)
+    return True, None
+
+
+def side_of_tree_edge(n, ei, ej, k):
+    """Mask of the points that tree edge k's end ei[k] still reaches once
+    the edge is removed."""
+    adj = [[] for _ in range(n)]
+    for m, (a, b) in enumerate(zip(ei.tolist(), ej.tolist())):
+        if m != k:
+            adj[a].append(b)
+            adj[b].append(a)
+    side = np.zeros(n, dtype=bool)
+    stack = [int(ei[k])]
+    while stack:
+        u = stack.pop()
+        if not side[u]:
+            side[u] = True
+            stack.extend(adj[u])
+    return side
+
+
+def swap_tree_edge(n, ei, ej, k, rng):
+    """Edge arrays with tree edge k replaced by another pair across the
+    cut that removing it leaves: still a spanning tree, but a different
+    one, so not the unique minimum when (ei, ej) was."""
+    side = side_of_tree_edge(n, ei, ej, k)
+    here, there = np.flatnonzero(side), np.flatnonzero(~side)
+    while True:  # n >= 3, so one side holds another point
+        u, v = int(rng.choice(here)), int(rng.choice(there))
+        if (u, v) != (ei[k], ej[k]):
+            break
+    ei, ej = ei.copy(), ej.copy()
+    ei[k], ej[k] = u, v
+    return ei, ej, side
+
+
+def random_spanning_tree(n, rng):
+    """Edge arrays of a random tree: in a random order, each point after
+    the first hangs from a random earlier one."""
+    perm = rng.permutation(n)
+    return perm[1:], perm[rng.integers(0, np.arange(1, n))]
+
+
+@given(
+    family=st.sampled_from(("uniform", "lattice", "collinear")),
+    kind=st.sampled_from(KINDS),
+    n=st.integers(2, 60),
+    tree=st.sampled_from(("minimum", "swapped", "random")),
+    misprice=st.booleans(),
+    chunk=st.sampled_from([_BAND_CHUNK, 7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300)
+def test_path_criterion_equals_the_tree_walk(family, kind, n, tree, misprice,
+                                             chunk, seed):
+    spec = spec_from_kind(kind)
+    rng = np.random.default_rng(seed)
+    pts = band_instance(family, n, rng)
+    n = len(pts)
+    minimum = minimum_spanning_tree(spec, pts)
+    ei, ej = minimum.edge_i, minimum.edge_j
+    if tree == "swapped" and n > 2:
+        ei, ej, _ = swap_tree_edge(n, ei, ej, int(rng.integers(n - 1)), rng)
+    elif tree == "random":
+        ei, ej = random_spanning_tree(n, rng)
+    # either orientation and any edge order
+    flip = rng.random(n - 1) < 0.5
+    ei, ej = np.where(flip, ej, ei), np.where(flip, ei, ej)
+    order = rng.permutation(n - 1)
+    ei, ej = ei[order], ej[order]
+    w = row_weight_fn(spec, pts)(ei, ej)
+    if misprice:
+        k = int(rng.integers(n - 1))
+        w[k] = np.nextafter(w[k], np.inf)
+    result = MstResult(n=n, edge_i=ei, edge_j=ej, base_weights=w)
+    # blocks of 7 pairs split the larger merges into many chunks
+    with mock.patch.object(mst_module, "_BAND_CHUNK", chunk):
+        got = verify_path_criterion(spec, pts, result)
+    assert got == path_criterion_by_tree_walk(spec, pts, result)
+    if not misprice and result.edge_set() == minimum.edge_set():
+        assert got == (True, None)
+    elif misprice:
+        assert got == (False, (int(ei[k]), int(ej[k])))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_path_criterion_certifies_large_band_trees(kind):
+    # far past the few hundred points the tree walk can check
+    spec = spec_from_kind(kind)
+    rng = np.random.default_rng(2000)
+    pts = rng.random((2000, 2))
+    tree = mst_bands(spec, pts)
+    assert verify_path_criterion(spec, pts, tree) == (True, None)
+    # one tree edge swapped for a non-tree pair across its cut: the removed
+    # edge violates the criterion, so the first witness is no later, and
+    # every violating pair's tree path runs through the new edge
+    k = len(tree.edge_i) // 2
+    ei, ej, side = swap_tree_edge(2000, tree.edge_i, tree.edge_j, k, rng)
+    swapped = MstResult(n=2000, edge_i=ei, edge_j=ej,
+                        base_weights=row_weight_fn(spec, pts)(ei, ej))
+    ok, witness = verify_path_criterion(spec, pts, swapped)
+    assert not ok
+    assert witness <= (int(tree.edge_i[k]), int(tree.edge_j[k]))
+    assert side[witness[0]] != side[witness[1]]
+    assert witness not in swapped.edge_set()
 
 
 VERIFIERS = (verify_path_criterion,)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from locmst.weights import (
     DegenerateEdgeError,
@@ -52,6 +52,10 @@ def test_degenerate_pair_rejected():
     ux=unit, uy=unit, vx=unit, vy=unit,
     kind=st.sampled_from(["euclidean", "hotspot", "shifted"]),
 )
+# near-coincident points where |r_u - r_v| rounds above d, which put the
+# shifted weight at 2 d
+@example(ux=0.9999999999999998, uy=0.46875, vx=0.9999999999999999,
+         vy=0.46875, kind="shifted")
 @settings(max_examples=300)
 def test_band_c1d_le_h_le_c2d(ux, uy, vx, vy, kind):
     d = math.hypot(ux - vx, uy - vy)
@@ -213,6 +217,18 @@ def test_equivalence_audit_reports_band_ratios():
     # euclidean ratios are exactly 1
     lo, hi = equivalence_audit(euclidean_spec(), samples=200, seed=1)
     assert lo == pytest.approx(1.0) and hi == pytest.approx(1.0)
+
+
+def test_shifted_weight_stays_in_its_band_at_near_coincident_points():
+    # |r_u - r_v| rounds above d here; both weight paths used to give 2 d,
+    # and the audit raised on these valid points
+    pts = np.array([[0.9999999999999998, 0.46875], [0.9999999999999999, 0.46875]])
+    spec = shifted_spec()
+    d = math.hypot(*(pts[0] - pts[1]))
+    assert pair_weight(spec, pts[0], pts[1]) == row_weight_fn(spec, pts)(0, 1)
+    assert d <= pair_weight(spec, pts[0], pts[1]) <= 1.5 * d
+    lo, hi = equivalence_audit(spec, samples=20, coords=pts)
+    assert 1.0 <= lo <= hi <= 1.5
 
 
 def test_homogeneity_and_translation_flags():
