@@ -192,7 +192,6 @@ class BoundsResult:
     A_low: float
     beta_up: float
     A_up: float
-    et_alpha_at_A_up: float = float("nan")
 
     @property
     def delta(self) -> float:
@@ -222,21 +221,16 @@ def compute_bounds(
         raise ValueError("need 0 < c1 <= c2")
     a_lo, v_lo = beta_low(alpha, eps1, eps2)
     a_up, v_up = beta_up(alpha, eps1, eps2)
-    p_up = -math.expm1(-delta_for(alpha, eps1, eps2) * a_up**2)
     return BoundsResult(
         alpha=alpha, eps1=eps1, eps2=eps2, c1=c1, c2=c2,
         beta_low=v_lo, A_low=a_lo, beta_up=v_up, A_up=a_up,
-        et_alpha_at_A_up=geometric_moment(alpha, p_up),
     )
 
 
-def chernoff_bound(m: float, mu: float, eps: float,
-                   direction: str = "upper") -> float:
+def chernoff_bound(m: float, mu: float, eps: float) -> float:
     """exp(-eps**2 * m * mu / 4) for either deviation tail of a sum of m
     independent Bernoulli-dominated terms with mean mu each; the same
     expression bounds both directions."""
-    if direction not in ("upper", "lower"):
-        raise ValueError(f"unknown direction {direction!r}")
     if not 0.0 < eps < 0.5:
         raise InvalidEpsError(f"eps must be in (0, 1/2), got {eps}")
     if m <= 0 or mu <= 0:

@@ -7,7 +7,6 @@ witness is printed), 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 
@@ -15,11 +14,12 @@ import numpy as np
 
 from .bounds import compute_bounds
 from .experiments import (
+    _check_fittable,
+    _check_study,
+    fit_study,
     good_square_probe,
     prop1_demo,
     run_weight_study,
-    scaling_experiment,
-    variance_experiment,
 )
 from .io import (
     RunConfig,
@@ -62,18 +62,6 @@ def _alpha_grid(text: str) -> tuple[float, ...]:
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("need lo <= hi and step > 0")
     return tuple(np.arange(lo, hi + step / 2, step).tolist())
-
-
-def _threads(args) -> int | None:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("LOCMST_THREADS", "").strip()
-    if env:
-        try:
-            return int(env) or None
-        except ValueError:
-            raise SystemExit(f"locmst: bad LOCMST_THREADS value {env!r}")
-    return None
 
 
 def _config(args, command: str) -> RunConfig:
@@ -159,24 +147,15 @@ def _slope_line(fit) -> str:
 
 
 def _run_study_command(args, quantity: str) -> int:
-    threads = _threads(args)
+    # refuse a study that cannot be fitted before any point is drawn
+    _check_study(args.n_list, args.reps, args.alpha)
+    _check_fittable(quantity, args.n_list, args.reps)
     experiment = "scaling" if quantity == "mean" else "variance"
     study = run_weight_study(
-        args.kind, args.n_list, args.reps, args.alpha, args.seed, threads,
+        args.kind, args.n_list, args.reps, args.alpha, args.seed, args.threads,
         experiment=experiment,
     )
-    fits = []
-    for a in args.alpha:
-        if quantity == "mean":
-            fits.append(
-                scaling_experiment(a, args.kind, args.n_list, args.reps,
-                                   args.seed, study=study)
-            )
-        else:
-            fits.append(
-                variance_experiment(a, args.kind, args.n_list, args.reps,
-                                    args.seed, study=study)
-            )
+    fits = [fit_study(study, a, quantity) for a in args.alpha]
     for fit in fits:
         print(_slope_line(fit))
     config = _config(args, experiment)

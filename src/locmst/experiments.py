@@ -19,12 +19,12 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 from scipy.special import gammaln
 
+from .bounds import compute_bounds
 from .geometry import (
     Rect,
     Tiling,
@@ -38,7 +38,6 @@ from .sampling import (
     _rejection_sample,
     derive_rng,
     sample_binomial,
-    sample_poisson,
 )
 from .weights import (
     HotspotLayout,
@@ -48,7 +47,7 @@ from .weights import (
     row_weight_fn,
     spec_from_kind,
 )
-from .mst import MstResult, minimum_spanning_tree
+from .mst import minimum_spanning_tree
 
 
 class EmptyPointSetError(ValueError):
@@ -622,7 +621,6 @@ class ScalingFit:
 @dataclass(frozen=True)
 class StudyResult:
     weight_kind: str
-    process: str
     n_list: tuple[int, ...]
     alphas: tuple[float, ...]
     reps: int
@@ -632,25 +630,39 @@ class StudyResult:
 
 
 def _study_task(args) -> tuple:
-    (kind, process, n, rep, seed, alphas, a_target) = args
+    (kind, n, rep, seed, alphas) = args
     t0 = time.perf_counter()
-    density = Density.uniform()
-    spec = spec_from_kind(kind)
-    if process == "binomial":
-        ps = sample_binomial(n, density, seed, key=(n, rep))
-    elif process == "poisson":
-        ps = sample_poisson(n, density, seed, key=(n, rep))
-    else:
-        raise ValueError(f"unknown process {process!r}")
-    coords = ps.coords
-    tiling = build_tiling(n, a_target)
-    result = minimum_spanning_tree(spec, coords)
+    coords = sample_binomial(n, Density.uniform(), seed, key=(n, rep)).coords
+    tiling = build_tiling(n)
+    result = minimum_spanning_tree(spec_from_kind(kind), coords)
     gs = gap_stat(tiling, coords)
     g_count = isolated_cell_count(tiling, coords)
     totals = {a: result.total_weight(a) for a in alphas}
     s_alphas = {a: gs.s_alpha(a) for a in alphas}
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return (n, rep, totals, s_alphas, g_count, result.max_degree, runtime_ms)
+
+
+def _check_study(n_list, reps: int, alphas) -> None:
+    """Refuse a study grid that would be sampled wrongly or not at all."""
+    if reps < 2:
+        raise ValueError("need at least two replicates")
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"repeated size in {list(n_list)}")
+    if not all(a > 0 for a in alphas):
+        raise ValueError("alpha must be positive")
+
+
+def _check_fittable(quantity: str, n_list, reps: int) -> None:
+    """The rule for a study whose slope can be fitted: 30 replicates for
+    the mean, 200 for the variance, and four sizes for either."""
+    min_reps = {"mean": 30, "variance": 200}.get(quantity)
+    if min_reps is None:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    if reps < min_reps:
+        raise ValueError(f"{quantity} slopes need at least {min_reps} replicates")
+    if len(n_list) < 4:
+        raise ValueError("need at least four sizes")
 
 
 def run_weight_study(
@@ -660,23 +672,22 @@ def run_weight_study(
     alphas,
     seed: int = 0,
     threads: int | None = None,
-    process: str = "binomial",
-    a_target: float = 1.0,
     experiment: str = "scaling",
 ) -> StudyResult:
     """MST weights over a grid of sizes with shared instances across alpha.
 
-    The edge set does not depend on alpha, so each sampled instance is
-    solved once and scored at every requested exponent.  With threads > 1
-    the replicates run in separate processes; results are folded in task
-    order either way, so the output is identical.
+    Each instance is n binomial points of the uniform density, scored on
+    the a_n = 1 tiling.  The edge set does not depend on alpha, so each
+    sampled instance is solved once and scored at every requested
+    exponent.  With threads > 1 the replicates run in separate processes;
+    results are folded in task order either way, so the output is
+    identical.
     """
     n_list = tuple(int(n) for n in n_list)
     alphas = tuple(float(a) for a in alphas)
-    if reps < 2:
-        raise ValueError("need at least two replicates")
+    _check_study(n_list, reps, alphas)
     tasks = [
-        (weight_kind, process, n, rep, seed, alphas, a_target)
+        (weight_kind, n, rep, seed, alphas)
         for n in n_list
         for rep in range(reps)
     ]
@@ -708,7 +719,6 @@ def run_weight_study(
             )
     return StudyResult(
         weight_kind=weight_kind,
-        process=process,
         n_list=n_list,
         alphas=alphas,
         reps=reps,
@@ -731,9 +741,12 @@ def _ols_loglog(ns, values) -> tuple[float, float, float]:
     return slope, intercept, stderr
 
 
-def _fit_from_study(study: StudyResult, alpha: float, quantity: str) -> ScalingFit:
-    from .bounds import compute_bounds
-
+def fit_study(study: StudyResult, alpha: float, quantity: str) -> ScalingFit:
+    """Log-log slope of the mean MST weight (expect 1 - alpha/2) or of its
+    variance (expect 1 - alpha) against n, over one study's sizes."""
+    _check_fittable(quantity, study.n_list, study.reps)
+    if alpha not in study.weights:
+        raise ValueError(f"the study did not score alpha={alpha:g}")
     w = study.weights[alpha]
     if quantity == "mean":
         values = w.mean(axis=1)
@@ -744,12 +757,10 @@ def _fit_from_study(study: StudyResult, alpha: float, quantity: str) -> ScalingF
         inside = bool(
             np.all((values >= np.array(lows)) & (values <= np.array(highs)))
         )
-    elif quantity == "variance":
+    else:
         values = w.var(axis=1, ddof=1)
         expected = 1.0 - alpha
         lows, highs, inside = (), (), None
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
     slope, intercept, stderr = _ols_loglog(study.n_list, values)
     return ScalingFit(
         alpha=alpha,
@@ -766,45 +777,3 @@ def _fit_from_study(study: StudyResult, alpha: float, quantity: str) -> ScalingF
         corridor_high=tuple(float(v) for v in highs),
         in_corridor=inside,
     )
-
-
-def scaling_experiment(
-    alpha: float,
-    weight_kind: str = "euclidean",
-    n_list=(256, 512, 1024, 2048, 4096, 8192),
-    reps: int = 200,
-    seed: int = 0,
-    threads: int | None = None,
-    study: StudyResult | None = None,
-) -> ScalingFit:
-    """Log-log slope of the mean MST weight against n (expect 1 - alpha/2)."""
-    if reps < 30:
-        raise ValueError("need at least 30 replicates")
-    if len(n_list) < 4:
-        raise ValueError("need at least four sizes")
-    if study is None:
-        study = run_weight_study(
-            weight_kind, n_list, reps, (alpha,), seed, threads
-        )
-    return _fit_from_study(study, alpha, "mean")
-
-
-def variance_experiment(
-    alpha: float,
-    weight_kind: str = "euclidean",
-    n_list=(256, 512, 1024, 2048, 4096, 8192),
-    reps: int = 200,
-    seed: int = 0,
-    threads: int | None = None,
-    study: StudyResult | None = None,
-) -> ScalingFit:
-    """Log-log slope of the MST weight variance against n (expect 1 - alpha)."""
-    if reps < 200:
-        raise ValueError("variance slopes need at least 200 replicates")
-    if len(n_list) < 4:
-        raise ValueError("need at least four sizes")
-    if study is None:
-        study = run_weight_study(
-            weight_kind, n_list, reps, (alpha,), seed, threads
-        )
-    return _fit_from_study(study, alpha, "variance")

@@ -124,23 +124,10 @@ def scaling_fits_to_json(fits, config: RunConfig | None = None) -> str:
 
 
 def bounds_to_json(results, config: RunConfig | None = None) -> str:
-    def one(r: BoundsResult) -> dict:
-        return {
-            "alpha": r.alpha,
-            "eps1": r.eps1,
-            "eps2": r.eps2,
-            "c1": r.c1,
-            "c2": r.c2,
-            "beta_low": r.beta_low,
-            "A_low": r.A_low,
-            "beta_up": r.beta_up,
-            "A_up": r.A_up,
-        }
-
     if isinstance(results, BoundsResult):
-        payload = one(results)
+        payload = asdict(results)
     else:
-        payload = [one(r) for r in results]
+        payload = [asdict(r) for r in results]
     return envelope("bounds", config, payload)
 
 

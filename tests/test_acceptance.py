@@ -20,6 +20,7 @@ from locmst.bounds import (
     geometric_moment_upper_bound,
 )
 from locmst.experiments import (
+    fit_study,
     gap_stat_monotonicity,
     good_square_probe,
     lower_bound_stat,
@@ -27,9 +28,7 @@ from locmst.experiments import (
     one_node_difference,
     prop1_demo,
     run_weight_study,
-    scaling_experiment,
     tiled_upper_bound,
-    variance_experiment,
 )
 from locmst.geometry import Tiling, build_tiling
 from locmst.mst import (
@@ -229,16 +228,10 @@ def test_c08_weight_scaling_laws(scaling_study):
     study, study_seconds = scaling_study
     t0 = perf_counter()
     for alpha in (1.0, 2.0):
-        mean_fit = scaling_experiment(
-            alpha, "euclidean", STUDY_N_LIST, STUDY_REPS, STUDY_SEED,
-            study=study,
-        )
+        mean_fit = fit_study(study, alpha, "mean")
         assert abs(mean_fit.slope - (1 - alpha / 2)) <= 0.1, mean_fit
         assert mean_fit.in_corridor is True, mean_fit
-        var_fit = variance_experiment(
-            alpha, "euclidean", STUDY_N_LIST, STUDY_REPS, STUDY_SEED,
-            study=study,
-        )
+        var_fit = fit_study(study, alpha, "variance")
         assert abs(var_fit.slope - (1 - alpha)) <= 0.25, var_fit
     assert study_seconds + (perf_counter() - t0) < 1800.0
 

@@ -183,13 +183,31 @@ class TestStudyCommands:
         assert {ln.split(",")[column] for ln in lines[1:]} == {command}
         assert len(lines) == 1 + 4 * 200
 
-    def test_threads_env_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv("LOCMST_THREADS", "many")
-        with pytest.raises(SystemExit):
-            run_cli(
-                "scaling", "--kind", "euclidean", "--alpha", "1",
-                "--n-list", "48,64,96", "--reps", "2", "--slope-tol", "9",
-            )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scaling", "--reps", "29"),
+            ("variance", "--reps", "100"),
+            ("scaling", "--n-list", "256,512,1024"),
+            ("variance", "--n-list", "64,64,96,128"),
+            ("scaling", "--n-list", "64,64,96,128"),
+            ("scaling", "--alpha", "0"),
+            ("variance", "--alpha", "0"),
+            ("scaling", "--alpha", "1,-1"),
+            ("variance", "--alpha", "-1"),
+        ],
+    )
+    def test_unfittable_study_is_refused_before_sampling(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        def no_study(*args, **kwargs):
+            pytest.fail("ran a study that should have been refused")
+
+        monkeypatch.setattr("locmst.cli.run_weight_study", no_study)
+        path = tmp_path / "records.csv"
+        assert run_cli(*argv, "--out-csv", path) == 2
+        assert not path.exists()
+        assert capsys.readouterr().err.startswith("locmst: ")
 
 
 class TestConstructionCommands:

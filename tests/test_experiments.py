@@ -10,8 +10,8 @@ from locmst.experiments import (
     EmptyPointSetError,
     GeometryInfeasibleError,
     StudyResult,
-    _fit_from_study,
     _ols_loglog,
+    fit_study,
     gap_stat,
     gap_stat_monotonicity,
     good_square_probe,
@@ -21,7 +21,6 @@ from locmst.experiments import (
     one_node_difference,
     prop1_demo,
     run_weight_study,
-    scaling_experiment,
     tiled_upper_bound,
 )
 from locmst.geometry import Tiling, build_tiling, cell_rect, cells_of
@@ -342,9 +341,8 @@ class TestStudiesAndFits:
         assert intercept == pytest.approx(coeffs[1], rel=1e-12)
         assert stderr >= 0.0
 
-    def _synthetic_study(self, alpha, scale):
-        n_list = (256, 512, 1024, 2048)
-        reps = 8
+    def _synthetic_study(self, alpha, scale, n_list=(256, 512, 1024, 2048),
+                         reps=200):
         w = np.empty((len(n_list), reps))
         for i, n in enumerate(n_list):
             base = scale * n ** (1 - alpha / 2)
@@ -352,7 +350,6 @@ class TestStudiesAndFits:
             w[i] = base * (1.0 + 0.01 * np.linspace(-1, 1, reps))
         return StudyResult(
             weight_kind="euclidean",
-            process="binomial",
             n_list=n_list,
             alphas=(alpha,),
             reps=reps,
@@ -363,19 +360,19 @@ class TestStudiesAndFits:
 
     def test_fit_recovers_planted_slope(self):
         study = self._synthetic_study(1.0, scale=0.63)
-        fit = _fit_from_study(study, 1.0, "mean")
+        fit = fit_study(study, 1.0, "mean")
         assert fit.slope == pytest.approx(0.5, abs=1e-9)
         assert fit.expected_slope == 0.5
         assert fit.in_corridor is True
 
     def test_fit_flags_out_of_corridor_means(self):
         study = self._synthetic_study(1.0, scale=50.0)
-        fit = _fit_from_study(study, 1.0, "mean")
+        fit = fit_study(study, 1.0, "mean")
         assert fit.in_corridor is False
 
     def test_variance_fit_has_no_corridor(self):
         study = self._synthetic_study(2.0, scale=0.4)
-        fit = _fit_from_study(study, 2.0, "variance")
+        fit = fit_study(study, 2.0, "variance")
         assert fit.quantity == "variance"
         assert fit.expected_slope == -1.0
         assert fit.in_corridor is None
@@ -422,21 +419,47 @@ class TestStudiesAndFits:
             assert rec["weight_kind"] == "shifted"
             assert rec["mst_weight"] > 0
 
-    def test_scaling_experiment_runs_end_to_end(self):
-        fit = scaling_experiment(
-            1.0, "euclidean", n_list=(32, 48, 64, 96), reps=30, seed=1
+    def test_fit_study_runs_end_to_end(self):
+        study = run_weight_study(
+            "euclidean", (32, 48, 64, 96), reps=30, alphas=(1.0,), seed=1
         )
+        fit = fit_study(study, 1.0, "mean")
         # tiny sizes: just demand the fitted exponent is in the right
         # neighbourhood and the machinery reports a finite error bar
         assert abs(fit.slope - 0.5) < 0.2
         assert math.isfinite(fit.stderr)
         assert fit.in_corridor is True
+        assert (fit.n_list, fit.reps) == (study.n_list, study.reps)
 
-    def test_study_validation(self):
+    @pytest.mark.parametrize(
+        "n_list, reps, alphas",
+        [((32,), 1, (1.0,)), ((64, 64, 96, 128), 3, (1.0,)),
+         ((32, 48), 3, (0.0,)), ((32, 48), 3, (1.0, -1.0)),
+         ((32, 48), 3, (float("nan"),))],
+    )
+    def test_study_validation(self, monkeypatch, n_list, reps, alphas):
+        # every refusal comes before the first point is drawn
+        def no_sampling(*args, **kwargs):
+            pytest.fail("sampled a study that should have been refused")
+
+        monkeypatch.setattr("locmst.experiments.sample_binomial", no_sampling)
         with pytest.raises(ValueError):
-            run_weight_study("euclidean", (32,), reps=1, alphas=(1.0,))
+            run_weight_study("euclidean", n_list, reps=reps, alphas=alphas)
+
+    @pytest.mark.parametrize(
+        "quantity, reps, n_list",
+        [("median", 200, (256, 512, 1024, 2048)),
+         ("mean", 29, (256, 512, 1024, 2048)),
+         ("variance", 199, (256, 512, 1024, 2048)),
+         ("mean", 200, (256, 512, 1024)),
+         ("variance", 200, (256, 512, 1024))],
+    )
+    def test_fit_study_refuses_what_it_cannot_fit(self, quantity, reps, n_list):
+        study = self._synthetic_study(1.0, 0.63, n_list=n_list, reps=reps)
         with pytest.raises(ValueError):
-            run_weight_study("euclidean", (32,), reps=2, alphas=(1.0,),
-                             process="brownian")
-        with pytest.raises(ValueError):
-            scaling_experiment(1.0, reps=10)
+            fit_study(study, 1.0, quantity)
+
+    def test_fit_study_needs_a_scored_alpha(self):
+        study = self._synthetic_study(1.0, scale=0.63)
+        with pytest.raises(ValueError, match="alpha=2"):
+            fit_study(study, 2.0, "mean")
