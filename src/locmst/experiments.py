@@ -47,7 +47,7 @@ from .weights import (
     row_weight_fn,
     spec_from_kind,
 )
-from .mst import minimum_spanning_tree
+from .mst import minimum_spanning_tree, mst_with_point
 
 
 class EmptyPointSetError(ValueError):
@@ -429,12 +429,10 @@ def prop1_demo(
             continue
         occurrences += 1
         result = minimum_spanning_tree(spec, coords)
-        special_set = set(special)
-        induced = {
-            (int(a), int(b))
-            for a, b in zip(result.edge_i, result.edge_j)
-            if int(a) in special_set and int(b) in special_set
-        }
+        is_special = np.zeros(len(coords), dtype=bool)
+        is_special[list(special)] = True
+        both = is_special[result.edge_i] & is_special[result.edge_j]
+        induced = set(zip(result.edge_i[both].tolist(), result.edge_j[both].tolist()))
         want = {
             (min(v0, b), max(v0, b)) for b in special if b != v0
         }
@@ -548,8 +546,7 @@ def good_square_probe(
             [center_cell.xmin + r[0] * side, center_cell.ymin + r[1] * side]
         )
     coords_old = np.vstack([satellites, background])
-    coords_new = np.vstack([coords_old, x_new.reshape(1, 2)])
-    new_vertex = len(coords_new) - 1
+    new_vertex = len(coords_old)
 
     sat_dx = satellites[:, 0] - x_new[0]
     sat_dy = satellites[:, 1] - x_new[1]
@@ -568,11 +565,18 @@ def good_square_probe(
     )
 
     t_old = minimum_spanning_tree(spec, coords_old)
-    t_new = minimum_spanning_tree(spec, coords_new)
-    old_set = t_old.edge_set()
-    new_set = t_new.edge_set()
-    added = tuple(sorted(new_set - old_set))
-    removed = tuple(sorted(old_set - new_set))
+    t_new = mst_with_point(spec, coords_old, t_old, x_new)
+    # edge (lo, hi) as the key lo * m + hi: sorted keys are sorted edges
+    m = new_vertex + 1
+    old_keys = t_old.edge_i * m + t_old.edge_j
+    new_keys = t_new.edge_i * m + t_new.edge_j
+
+    def edges(keys) -> tuple[tuple[int, int], ...]:
+        lo, hi = np.divmod(keys, m)
+        return tuple(zip(lo.tolist(), hi.tolist()))
+
+    added = edges(np.setdiff1d(new_keys, old_keys))
+    removed = edges(np.setdiff1d(old_keys, new_keys))
     edge_ok = (
         len(removed) == 0
         and len(added) == 1
@@ -649,6 +653,8 @@ def _check_study(n_list, reps: int, alphas) -> None:
         raise ValueError("need at least two replicates")
     if len(set(n_list)) < len(n_list):
         raise ValueError(f"repeated size in {list(n_list)}")
+    if len(set(alphas)) < len(alphas):
+        raise ValueError(f"repeated alpha in {list(alphas)}")
     if not all(a > 0 for a in alphas):
         raise ValueError("alpha must be positive")
 

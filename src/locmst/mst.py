@@ -42,6 +42,13 @@ forest, and Boruvka's algorithm (``_boruvka``, numpy rounds of cheapest
 edge per component) finds the same forest that Kruskal over the ranks
 would.  It needs no sort and no sparse matrix.
 
+``mst_with_point(spec, coords, tree, x)`` adds one point to a solved tree
+without solving again.  The tree of X and x lies in the tree of X plus
+the n pairs of x (Chin and Houck, "Algorithms for updating minimal
+spanning trees", JCSS 1978), so the same kappa sort and ``_boruvka`` run
+over those 2n - 1 edges only.  It is an update built from the Kruskal
+core, not another solver, and it returns the solvers' tree bit for bit.
+
 Two more constructions serve as test oracles:
 
 * ``mst_prim_dense`` -- rowwise Prim, O(n^2) time and O(n) memory.
@@ -608,6 +615,36 @@ def mst_brute_force(spec: WeightSpec, coords: np.ndarray) -> MstResult:
 def minimum_spanning_tree(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     small = len(coords) <= _KRUSKAL_MAX_N
     return (mst_kruskal if small else mst_bands)(spec, coords)
+
+
+def mst_with_point(
+    spec: WeightSpec, coords: np.ndarray, tree: MstResult, x
+) -> MstResult:
+    """The kappa-unique tree of coords with the point x added at index n.
+
+    ``tree`` must be the tree of ``coords`` that the solvers return.  The
+    new tree lies in ``tree`` plus the star of x (Chin and Houck,
+    "Algorithms for updating minimal spanning trees", 1978): every other
+    pair of the old points is the kappa-largest edge of a cycle in
+    ``tree``, and that cycle is still there.  Kruskal over these 2n - 1
+    edges, as Boruvka rounds over their kappa ranks, gives the tree of all
+    n + 1 points.  Old pairs keep their indices and recorded weights, and
+    the star is priced as every solver prices its pairs, so the result is
+    edge for edge and bit for bit the one a solve returns.
+    """
+    coords = np.asarray(coords, dtype=float)
+    n = len(coords)
+    if tree.n != n:
+        raise ValueError(f"a tree of {tree.n} points, but {n} coordinates")
+    coords = _validate_coords(np.vstack([coords, np.reshape(x, (1, 2))]))
+    star = np.arange(n)
+    ii = np.concatenate([tree.edge_i, star])
+    jj = np.concatenate([tree.edge_j, np.full(n, n)])
+    ww = np.concatenate([tree.base_weights, row_weight_fn(spec, coords)(star, n)])
+    order = _kappa_order(ii, jj, ww)
+    picked = order[_boruvka(n + 1, ii[order].astype(np.int32),
+                            jj[order].astype(np.int32))[0]]
+    return _sorted_result(n + 1, ii[picked], jj[picked], ww[picked])
 
 
 class NotASpanningTreeError(ValueError):

@@ -195,6 +195,8 @@ class TestStudyCommands:
             ("variance", "--alpha", "0"),
             ("scaling", "--alpha", "1,-1"),
             ("variance", "--alpha", "-1"),
+            ("scaling", "--alpha", "1,1", "--n-list", "16,24,32,48", "--reps", "30"),
+            ("variance", "--alpha", "2,1,2"),
         ],
     )
     def test_unfittable_study_is_refused_before_sampling(

@@ -435,7 +435,7 @@ class TestStudiesAndFits:
         "n_list, reps, alphas",
         [((32,), 1, (1.0,)), ((64, 64, 96, 128), 3, (1.0,)),
          ((32, 48), 3, (0.0,)), ((32, 48), 3, (1.0, -1.0)),
-         ((32, 48), 3, (float("nan"),))],
+         ((32, 48), 3, (float("nan"),)), ((32, 48), 3, (1.0, 2.0, 1.0))],
     )
     def test_study_validation(self, monkeypatch, n_list, reps, alphas):
         # every refusal comes before the first point is drawn

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from locmst.mst import (
     DuplicatePointsError,
@@ -28,6 +28,7 @@ from locmst.mst import (
     mst_brute_force,
     mst_kruskal,
     mst_prim_dense,
+    mst_with_point,
     scale_check,
     scale_translate_check,
     sector_ratio_audit,
@@ -445,6 +446,37 @@ def test_auto_solver_equals_prim_across_the_crossover(kind):
     for n in (_KRUSKAL_MAX_N, _KRUSKAL_MAX_N + 1, 1500):
         pts = rng.random((n, 2))
         assert_same_tree(minimum_spanning_tree(spec, pts), mst_prim_dense(spec, pts))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("family", BAND_FAMILIES)
+@given(n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+@example(n=0, seed=0)
+@example(n=_KRUSKAL_MAX_N, seed=0)  # a Kruskal tree updated to a bands tree
+@settings(max_examples=15, deadline=None)
+def test_adding_a_point_equals_a_fresh_solve(family, kind, n, seed):
+    # x is drawn with the other points, so on a lattice it is a lattice
+    # point too, and its pairs tie with each other and with tree edges
+    spec = spec_from_kind(kind)
+    pts = band_instance(family, n + 1, np.random.default_rng(seed))
+    coords, x = pts[:-1], pts[-1]
+    got = mst_with_point(spec, coords, minimum_spanning_tree(spec, coords), x)
+    assert_same_tree(got, minimum_spanning_tree(spec, pts))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_adding_a_point_rejects_what_a_solve_rejects(kind):
+    spec = spec_from_kind(kind)
+    coords = np.random.default_rng(3).random((200, 2))
+    tree = minimum_spanning_tree(spec, coords)
+    with pytest.raises(DuplicatePointsError) as err:
+        mst_with_point(spec, coords, tree, coords[17])
+    assert err.value.indices == (17, 200)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidCoordinatesError, match="point 200 "):
+            mst_with_point(spec, coords, tree, [0.5, bad])
+    with pytest.raises(ValueError, match="tree of 200 points"):
+        mst_with_point(spec, coords[:-1], tree, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("kind", KINDS)
