@@ -170,6 +170,40 @@ def test_pinned_draws():
     )
 
 
+def test_pinned_uniform_draws():
+    """Draws from a constant density, the ones every study and check
+    makes, pinned from the empty draw up to several thousand points."""
+    d = Density.uniform()
+    binom = [
+        sample_binomial(n, d, seed=s, key=(n,)).coords
+        for s in range(3)
+        for n in (0, 1, 30, 500, 5000)
+    ]
+    poiss = [
+        sample_poisson(n, d, seed=s, key=(n,)).coords
+        for s in range(3)
+        for n in (30, 500, 5000)
+    ]
+    assert _sha256(*binom) == (
+        "acfff8966721f85d4287c62b23c90c554db712aa08c8fb6af1d7bd5759b15b53"
+    )
+    assert _sha256(*poiss) == (
+        "813030ea4ebe7f8ceaec3f187ba9f0dfb0837d78acac0c0d6f66ee3f95dffe3a"
+    )
+
+
+def test_constant_density_given_as_rectangles_draws_uniform_points():
+    flat = Density(
+        background=1.0,
+        rects=((Rect(0.0, 0.0, 0.5, 1.0), 1.0), (Rect(0.5, 0.25, 1.0, 0.5), 1.0)),
+    )
+    for n in (1, 30, 2000):
+        np.testing.assert_array_equal(
+            sample_binomial(n, flat, seed=n).coords,
+            sample_binomial(n, Density.uniform(), seed=n).coords,
+        )
+
+
 def test_avoid_draw_pinned_and_outside():
     """The conditioned draw good_square_probe and prop1_demo make, pinned
     over several acceptance rounds, must also miss the avoided square."""
