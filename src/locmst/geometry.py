@@ -191,24 +191,23 @@ def _axis_candidates(t: float, s: int) -> list[int]:
 def cells_of(tiling: Tiling, coords: np.ndarray) -> np.ndarray:
     """Vectorized `cell_of` for an (n, 2) coordinate array.
 
-    The fast path assigns strict interior points with floor(); exact
-    boundary hits are rare and re-routed through the scalar rule.
+    The fast path assigns points with floor(); coordinates that floor()
+    leaves unchanged, on a shared cell boundary or at 1.0, are rare and
+    re-routed through the scalar rule.
     """
     coords = np.asarray(coords, dtype=float)
-    inside = (coords >= 0.0) & (coords <= 1.0)  # False for NaN too
-    if not inside.all():
-        k = np.flatnonzero(~inside.all(axis=1))[0]
+    # one range test for all points; NaN fails it too
+    if not (coords.min(initial=0.0) >= 0.0 and coords.max(initial=1.0) <= 1.0):
+        k = np.flatnonzero(~((coords >= 0.0) & (coords <= 1.0)).all(axis=1))[0]
         cell_of(tiling, coords[k, 0], coords[k, 1])  # raises its ValueError
     s = tiling.s
     v = coords * s
-    cr = np.floor(v).astype(np.int64)
-    np.minimum(cr, s - 1, out=cr)  # a coordinate of 1.0 is in the last cell
-    col = cr[:, 0]
-    row = s - 1 - cr[:, 1]
-    idx = np.where(col % 2 == 0, col * s + row + 1, col * s + (s - 1 - row) + 1)
-    on_boundary = np.any((v == np.floor(v)) & (v > 0) & (v < s), axis=1)
-    if on_boundary.any():
-        for k in np.nonzero(on_boundary)[0]:
+    f = np.floor(v)
+    col, up = f.astype(np.int64).T  # column, and row counted from the bottom
+    idx = col * s + np.where(col & 1, up + 1, s - up)
+    exact = v == f
+    if exact.any():
+        for k in np.flatnonzero((exact & (v > 0)).any(axis=1)):
             idx[k] = cell_of(tiling, coords[k, 0], coords[k, 1])
     return idx
 
@@ -230,9 +229,9 @@ def occupancy_grid(tiling: Tiling, coords: np.ndarray) -> np.ndarray:
     s = tiling.s
     grid = np.zeros((s, s), dtype=bool)
     if len(coords):
-        idx = cells_of(tiling, coords) - 1
-        order = snake_order(s)
-        grid[order[idx, 0], order[idx, 1]] = True
+        # snake position k is column k // s; odd columns run bottom to top
+        col, k = np.divmod(cells_of(tiling, coords) - 1, s)
+        grid[col, np.where(col & 1, s - 1 - k, k)] = True
     return grid
 
 
@@ -240,4 +239,5 @@ def occupied_cells(tiling: Tiling, coords: np.ndarray) -> np.ndarray:
     """Sorted unique snake indices of occupied cells."""
     if len(coords) == 0:
         return np.empty(0, dtype=np.int64)
-    return np.unique(cells_of(tiling, coords))
+    idx = np.sort(cells_of(tiling, coords))
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]

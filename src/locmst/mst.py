@@ -10,7 +10,8 @@ sort on base weights only and alpha enters only when scoring a tree.
 
 * ``mst_kruskal`` -- sort all pairs by kappa, then merge components by
   relabelling the smaller one -- up to n = _KRUSKAL_MAX_N, where its
-  small constant wins, and
+  small constant wins; its pairs are views of one shared read-only table
+  of all pairs of _KRUSKAL_MAX_N points, so no call builds them, and
 * ``mst_bands`` -- the same kappa-Kruskal, fed its pairs one distance band
   at a time -- above it.
 
@@ -88,6 +89,11 @@ _COORD_LIMIT = 1e150
 # n = 176: 1.1-2.0 / 1.1-1.3; n = 192: 1.6-2.4 / 1.4-1.6;
 # n = 256: 4.5-4.7 / 1.3-1.6.
 _KRUSKAL_MAX_N = 160
+# Every pair i < j of _KRUSKAL_MAX_N points, in colexicographic order (by
+# j, then i), read-only: the pairs of n points are its first n(n - 1)/2
+# entries, so the small-n paths take views instead of building them.
+_PAIR_J, _PAIR_I = np.tril_indices(_KRUSKAL_MAX_N, k=-1)
+_PAIR_I.flags.writeable = _PAIR_J.flags.writeable = False
 # Candidate pairs `mst_bands` holds at once, before the per-chunk reduction.
 _BAND_CHUNK = 1 << 14
 # A band keeps pairs with h < lam * R * (1 - _BAND_SLACK), so that float
@@ -117,9 +123,13 @@ class DuplicatePointsError(InvalidCoordinatesError):
 
 def _reject_duplicates(coords: np.ndarray) -> None:
     x = np.sort(coords[:, 0])
-    if not (x[1:] == x[:-1]).any():
+    tie = x[1:] == x[:-1]
+    if not tie.any():
         return  # all x distinct, so no two points coincide
-    order = np.lexsort((coords[:, 1], coords[:, 0]))
+    # only points that share their x can coincide; sorting them by (x, y)
+    # and index finds the same first pair as sorting all points would
+    rows = np.flatnonzero(np.isin(coords[:, 0], x[1:][tie]))
+    order = rows[np.lexsort((coords[rows, 1], coords[rows, 0]))]
     same = np.all(coords[order[1:]] == coords[order[:-1]], axis=1)
     hit = np.flatnonzero(same)
     if len(hit):
@@ -263,6 +273,14 @@ def _merges(n: int, ii: np.ndarray, jj: np.ndarray, order: np.ndarray):
             return
 
 
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All pairs i < j of n points, as (i, j) index arrays."""
+    if n > _KRUSKAL_MAX_N:
+        return np.triu_indices(n, k=1)
+    m = n * (n - 1) // 2
+    return _PAIR_I[:m], _PAIR_J[:m]
+
+
 def _kruskal(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> list[int]:
     """Positions of the kappa-Kruskal tree's edges among the pairs (ii, jj, ww)."""
     return [k for k, _, _ in _merges(n, ii, jj, _kappa_order(ii, jj, ww))]
@@ -273,7 +291,7 @@ def mst_kruskal(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     n = len(coords)
     if n <= 1:
         return _sorted_result(n)
-    ii, jj = np.triu_indices(n, k=1)
+    ii, jj = _pairs(n)
     ww = row_weight_fn(spec, coords)(ii, jj)
     k = _kruskal(n, ii, jj, ww)
     return _sorted_result(n, ii[k], jj[k], ww[k])
@@ -309,8 +327,12 @@ def _kappa_order(i, j, h) -> np.ndarray:
     """Argsort of the pairs (i, j) by kappa = (h, i, j)."""
     order = np.argsort(h)
     sorted_h = h[order]
-    if (sorted_h[1:] == sorted_h[:-1]).any():  # a tie: (i, j) decides
-        order = np.lexsort((j, i, h))
+    tie = sorted_h[1:] == sorted_h[:-1]
+    if tie.any():  # (i, j) decides, but only inside the runs of equal h
+        edge = np.concatenate(([False], tie, [False]))
+        at = np.flatnonzero(edge[:-1] | edge[1:])  # positions in a run
+        sub = order[at]
+        order[at] = sub[np.lexsort((j[sub], i[sub], sorted_h[at]))]
     return order
 
 
@@ -724,7 +746,7 @@ def alpha_invariance_check(
     n = len(coords)
     if n < 2:
         return True
-    ii, jj = np.triu_indices(n, k=1)
+    ii, jj = _pairs(n)
     base = row_weight_fn(spec, coords)(ii, jj)
     edge_sets = {frozenset(_kruskal(n, ii, jj, base**alpha)) for alpha in alphas}
     return len(edge_sets) <= 1

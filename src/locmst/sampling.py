@@ -6,6 +6,13 @@ draws from the density via rejection against the flat eps2 envelope;
 Poisson samples draw the count first.  All randomness flows through
 numpy SeedSequence spawn keys so that replicate r of stream e is the
 deterministic function mix(seed, e, r).
+
+A constant density (eps1 == eps2) accepts every candidate, so an
+unconditioned draw from it is just ``rng.random((n, 2))``: the first n
+rows of the rejection sampler's first batch, since numpy fills that batch
+row-major from the same stream.  The sampler returns those rows without
+drawing the batch, the acceptance uniforms or the density values, and
+the points are bit for bit the ones the batch rule gives.
 """
 
 from __future__ import annotations
@@ -119,6 +126,11 @@ def _rejection_sample(
     if n == 0:
         return np.empty((0, 2))
     env = density.eps2
+    if avoid is None and density.eps1 == env:
+        # u * env <= env = every density value, so all of the first batch
+        # is accepted and its first n rows are returned; they are exactly
+        # rng.random((n, 2)).  Conditioned draws keep the batch rule.
+        return rng.random((n, 2))
     out = np.empty((n, 2))
     have = 0
     for _ in range(100_000):

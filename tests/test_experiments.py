@@ -129,6 +129,24 @@ class TestIsolatedCells:
         corners = centers_of_cells(t, [1, 25])
         assert isolated_cell_count(t, corners) == 2
 
+    @given(s=st.integers(1, 9), n=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200)
+    def test_counts_the_cells_with_no_occupied_neighbour(self, s, n, seed):
+        rng = np.random.default_rng(seed)
+        t = Tiling.from_grid(100, s)
+        pts = rng.random((n, 2))
+        pts[: n // 3] = rng.integers(0, s + 1, (n // 3, 2)) / s  # on gridlines
+        occupied = set()
+        for index in cells_of(t, pts).tolist():
+            r = cell_rect(t, index)
+            occupied.add((round(r.xmin * s), round(r.ymin * s)))
+        lonely = sum(
+            not any((c + dc, r + dr) in occupied
+                    for dc in (-1, 0, 1) for dr in (-1, 0, 1) if dc or dr)
+            for c, r in occupied
+        )
+        assert isolated_cell_count(t, pts) == lonely
+
     def test_diagonal_neighbour_blocks(self):
         t = Tiling.from_grid(2500, 5)
         # snake 1 is (col 0, row 0); the odd column runs bottom-up, so

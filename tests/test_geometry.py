@@ -135,11 +135,11 @@ def test_cells_of_rejects_points_outside_the_unit_square():
 def test_cells_of_agrees_with_scalar_lookup(s, data):
     t = Tiling.from_grid(100, s)
     n = data.draw(st.integers(min_value=1, max_value=20))
-    # mix generic coordinates with exact gridline multiples
+    # mix generic coordinates with exact gridline multiples, 0 and 1 too
     vals = st.one_of(
         st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
                   allow_nan=False),
-        st.integers(min_value=0, max_value=s - 1).map(lambda k: k / s),
+        st.integers(min_value=0, max_value=s).map(lambda k: k / s),
     )
     pts = np.array(
         [[data.draw(vals), data.draw(vals)] for _ in range(n)], dtype=float
@@ -156,6 +156,21 @@ def test_cell_rect_roundtrip(s):
         r = cell_rect(t, index)
         cx, cy = (r.xmin + r.xmax) / 2, (r.ymin + r.ymax) / 2
         assert cell_of(t, cx, cy) == index
+
+
+@given(s=st.integers(1, 12), n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_occupancy_grid_and_occupied_cells_follow_the_scalar_lookup(s, n, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    pts[: n // 2] = rng.integers(0, s + 1, (n // 2, 2)) / s  # on gridlines
+    t = Tiling.from_grid(100, s)
+    cells = sorted({cell_of(t, x, y) for x, y in pts.tolist()})
+    want = np.zeros((s, s), dtype=bool)
+    for index in cells:
+        want[tuple(snake_order(s)[index - 1])] = True
+    np.testing.assert_array_equal(occupancy_grid(t, pts), want)
+    assert occupied_cells(t, pts).tolist() == cells
 
 
 def test_occupancy_grid_and_occupied_cells():

@@ -46,6 +46,9 @@ from locmst.mst import (
     _band_forest,
     _boruvka,
     _grid_neighbours,
+    _kappa_order,
+    _pairs,
+    _reject_duplicates,
 )
 from locmst.weights import (
     WeightSpec,
@@ -189,6 +192,59 @@ def test_duplicate_points_rejected_by_every_solver():
             solver(spec, pts)
         assert set(err.value.indices) == {0, 2}
         assert isinstance(err.value, InvalidCoordinatesError)
+
+
+def full_lexsort_witness(coords):
+    """The duplicate pair found by sorting every point by (x, y, index)."""
+    order = np.lexsort((coords[:, 1], coords[:, 0]))
+    same = np.flatnonzero(np.all(coords[order[1:]] == coords[order[:-1]], axis=1))
+    if not len(same):
+        return None
+    a, b = int(order[same[0]]), int(order[same[0] + 1])
+    return min(a, b), max(a, b)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 200),
+       copies=st.integers(0, 4), on_lattice=st.booleans())
+@settings(max_examples=300)
+def test_duplicate_witness_is_the_full_sort_witness(seed, n, copies, on_lattice):
+    # lattice inputs share x between many points, so the check sorts those
+    # rows only; the witness must be the pair a sort of all points finds
+    rng = np.random.default_rng(seed)
+    side = int(np.ceil(np.sqrt(n)))
+    if on_lattice:
+        grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), -1)
+        pts = rng.permutation(grid.reshape(-1, 2)[:n] / side)
+    else:
+        pts = rng.random((n, 2))
+        pts[: n // 3, 0] = rng.integers(0, side, n // 3) / side
+    for _ in range(copies):
+        pts[rng.integers(0, n)] = pts[rng.integers(0, n)]
+    want = full_lexsort_witness(pts)
+    if want is None:
+        _reject_duplicates(pts)
+        return
+    with pytest.raises(DuplicatePointsError) as err:
+        _reject_duplicates(pts)
+    assert err.value.indices == want
+
+
+@given(
+    h=st.lists(st.sampled_from([0.5, 0.25, 1.0, 2.0 / 3.0, 7.0]), max_size=60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300)
+@example(h=[], seed=0)
+@example(h=[1.0], seed=0)
+@example(h=[0.5] * 40, seed=0)  # all tied
+@example(h=[0.5, 0.5, 0.25, 0.25, 1.0, 1.0, 1.0], seed=1)  # adjacent runs
+def test_kappa_order_is_the_three_key_lexsort(h, seed):
+    # distinct pairs, so (h, i, j) orders them totally
+    rng = np.random.default_rng(seed)
+    h = rng.permutation(np.asarray(h, dtype=float))
+    pairs = rng.permutation(np.stack(np.triu_indices(12, k=1), 1))[: len(h)]
+    i, j = pairs[:, 0], pairs[:, 1]
+    np.testing.assert_array_equal(_kappa_order(i, j, h), np.lexsort((j, i, h)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
@@ -446,6 +502,54 @@ def test_auto_solver_equals_prim_across_the_crossover(kind):
     for n in (_KRUSKAL_MAX_N, _KRUSKAL_MAX_N + 1, 1500):
         pts = rng.random((n, 2))
         assert_same_tree(minimum_spanning_tree(spec, pts), mst_prim_dense(spec, pts))
+
+
+def test_pair_table_views_are_read_only():
+    for n in (2, 3, 40, _KRUSKAL_MAX_N):
+        ii, jj = _pairs(n)
+        assert sorted(zip(ii.tolist(), jj.tolist())) == sorted(
+            zip(*(a.tolist() for a in np.triu_indices(n, k=1)))
+        )
+        for a in (ii, jj):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+    ii, jj = _pairs(_KRUSKAL_MAX_N + 1)  # built afresh, not from the table
+    assert len(ii) == (_KRUSKAL_MAX_N + 1) * _KRUSKAL_MAX_N // 2
+    assert ii.flags.writeable and jj.flags.writeable
+
+
+@pytest.mark.parametrize("family", ("uniform", "lattice"))
+def test_pair_table_gives_the_trees_of_the_row_major_pairs(family):
+    # the enumeration order of the pairs cannot move the kappa-unique tree:
+    # Kruskal, and the invariance check at every alpha, pick the same edges
+    # from the table as from np.triu_indices, and Prim's edges at alpha 1
+    rng = np.random.default_rng(7)
+    picked, real = [], mst_module._kruskal
+
+    def kruskal(n, ii, jj, ww):
+        k = real(n, ii, jj, ww)
+        picked.append(sorted(zip(ii[k].tolist(), jj[k].tolist())))
+        return k
+
+    # every size with one kind each, and the whole table with every kind
+    cases = [(n, KINDS[n % 3]) for n in range(2, _KRUSKAL_MAX_N)]
+    for n, kind in cases + [(_KRUSKAL_MAX_N, kind) for kind in KINDS]:
+        spec = spec_from_kind(kind)
+        pts = band_instance(family, n, rng)
+        want = mst_prim_dense(spec, pts)
+        runs = []
+        for pairs in (_pairs, lambda n: np.triu_indices(n, k=1)):
+            picked.clear()
+            with mock.patch.object(mst_module, "_pairs", pairs), \
+                    mock.patch.object(mst_module, "_kruskal", kruskal):
+                assert_same_tree(mst_kruskal(spec, pts), want)
+                runs.append((alpha_invariance_check(spec, pts), picked[1:]))
+            assert len(picked) == 5  # mst_kruskal, then alpha 0.5, 1, 2, 3
+            assert picked[0] == picked[2] == sorted(want.edge_set())
+        assert runs[0] == runs[1]
+        # h**alpha can round two lattice weights into a tie, so only
+        # uniform points must keep one tree for every alpha
+        assert runs[0][0] or family == "lattice"
 
 
 @pytest.mark.parametrize("kind", KINDS)
