@@ -85,12 +85,9 @@ def gap_stat(tiling: Tiling, coords: np.ndarray) -> GapStat:
     coords = np.asarray(coords, dtype=float)
     if len(coords) == 0:
         return GapStat(s=s, occupied=(), gaps=(s * s - 1,))
-    idx = np.sort(cells_of(tiling, coords))
-    step = idx[1:] - idx[:-1]
-    new = step != 0  # the gaps between occupied cells; zero steps are repeats
-    occ = (int(idx[0]), *idx[1:][new].tolist())
-    gaps = (occ[0] - 1, *step[new].tolist(), s * s - occ[-1])
-    return GapStat(s=s, occupied=occ, gaps=gaps)
+    occ = occupied_cells(tiling, coords)
+    gaps = (int(occ[0]) - 1, *(occ[1:] - occ[:-1]).tolist(), s * s - int(occ[-1]))
+    return GapStat(s=s, occupied=tuple(occ.tolist()), gaps=gaps)
 
 
 def gap_stat_monotonicity(

@@ -191,9 +191,9 @@ def _axis_candidates(t: float, s: int) -> list[int]:
 def cells_of(tiling: Tiling, coords: np.ndarray) -> np.ndarray:
     """Vectorized `cell_of` for an (n, 2) coordinate array.
 
-    The fast path assigns points with floor(); coordinates that floor()
-    leaves unchanged, on a shared cell boundary or at 1.0, are rare and
-    re-routed through the scalar rule.
+    The fast path assigns points with floor(); the rare points with a
+    coordinate on a shared cell boundary or at 1.0 are re-routed through
+    the scalar rule.
     """
     coords = np.asarray(coords, dtype=float)
     # one range test for all points; NaN fails it too
