@@ -40,10 +40,6 @@ class InvalidPError(ValueError):
     """Success probability outside (0, 1)."""
 
 
-class InvalidEpsError(ValueError):
-    """Deviation parameter outside (0, 1/2)."""
-
-
 @lru_cache(maxsize=None)
 def _eulerian_row(r: int) -> tuple[int, ...]:
     """Eulerian numbers A(r, 0..r-1) by the standard recurrence."""
@@ -225,14 +221,3 @@ def compute_bounds(
         alpha=alpha, eps1=eps1, eps2=eps2, c1=c1, c2=c2,
         beta_low=v_lo, A_low=a_lo, beta_up=v_up, A_up=a_up,
     )
-
-
-def chernoff_bound(m: float, mu: float, eps: float) -> float:
-    """exp(-eps**2 * m * mu / 4) for either deviation tail of a sum of m
-    independent Bernoulli-dominated terms with mean mu each; the same
-    expression bounds both directions."""
-    if not 0.0 < eps < 0.5:
-        raise InvalidEpsError(f"eps must be in (0, 1/2), got {eps}")
-    if m <= 0 or mu <= 0:
-        raise ValueError("m and mu must be positive")
-    return math.exp(-(eps**2) * m * mu / 4.0)

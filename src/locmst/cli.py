@@ -111,6 +111,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not args.alpha > 0:  # NaN too; refused before any point is drawn
+        raise ValueError("alpha must be positive")
     spec = spec_from_kind(args.kind)
     density = Density.uniform()
     if args.process == "binomial":

@@ -70,14 +70,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .weights import (
-    WeightSpec,
-    in_central_cells,
-    row_weight_fn,
-    weight_matrix,
-)
-
-TWO_PI = 2.0 * math.pi
+from .weights import WeightSpec, in_central_cells, row_weight_fn
 
 BRUTE_FORCE_MAX_N = 8
 _COORD_LIMIT = 1e150
@@ -179,10 +172,6 @@ class MstResult:
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.n > 1 else 0
 
-    def degree_histogram(self) -> dict[int, int]:
-        vals, counts = np.unique(self.degrees, return_counts=True)
-        return dict(zip(vals.tolist(), counts.tolist()))
-
     def edge_set(self) -> set[tuple[int, int]]:
         return set(zip(self.edge_i.tolist(), self.edge_j.tolist()))
 
@@ -281,9 +270,10 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _PAIR_I[:m], _PAIR_J[:m]
 
 
-def _kruskal(n: int, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray) -> list[int]:
-    """Positions of the kappa-Kruskal tree's edges among the pairs (ii, jj, ww)."""
-    return [k for k, _, _ in _merges(n, ii, jj, _kappa_order(ii, jj, ww))]
+def _kruskal(n: int, ii: np.ndarray, jj: np.ndarray, order: np.ndarray) -> list[int]:
+    """Positions of Kruskal's tree edges among the pairs (ii, jj) taken in
+    ``order``."""
+    return [k for k, _, _ in _merges(n, ii, jj, order)]
 
 
 def mst_kruskal(spec: WeightSpec, coords: np.ndarray) -> MstResult:
@@ -293,7 +283,7 @@ def mst_kruskal(spec: WeightSpec, coords: np.ndarray) -> MstResult:
         return _sorted_result(n)
     ii, jj = _pairs(n)
     ww = row_weight_fn(spec, coords)(ii, jj)
-    k = _kruskal(n, ii, jj, ww)
+    k = _kruskal(n, ii, jj, _kappa_order(ii, jj, ww))
     return _sorted_result(n, ii[k], jj[k], ww[k])
 
 
@@ -613,9 +603,9 @@ def mst_brute_force(spec: WeightSpec, coords: np.ndarray) -> MstResult:
         )
     if n <= 1:
         return _sorted_result(n)
-    w = weight_matrix(spec, coords)
     trees = _all_trees_by_prufer(n)
-    tree_w = w[trees[:, :, 0], trees[:, :, 1]]  # (T, n-1)
+    row = row_weight_fn(spec, coords)
+    tree_w = row(trees[:, :, 0], trees[:, :, 1])  # (T, n-1)
     sums = tree_w.sum(axis=1)
     cutoff = sums.min() + 1e-9 * max(1.0, abs(sums.min()))
     cand = np.flatnonzero(sums <= cutoff)
@@ -740,98 +730,46 @@ def verify_path_criterion(
 def alpha_invariance_check(
     spec: WeightSpec, coords: np.ndarray, alphas=(0.5, 1.0, 2.0, 3.0)
 ) -> bool:
-    """Run Kruskal on the transformed weights h**alpha for each alpha and
-    confirm the edge set never moves."""
+    """Confirm that the kappa tree of h is a minimum tree of w = h**alpha
+    for each alpha in ``alphas``.
+
+    Kruskal's tree depends only on the order in which it takes the pairs,
+    so an alpha whose kappa order of w is the kappa order of h gives the
+    h-tree itself, exactly, and needs no union loop.  The orders can
+    differ even though x -> x**alpha is increasing: rounding can tie two
+    weights h that are one ulp apart, and (i, j) may then break the tie
+    the other way.  Kruskal on w then returns another minimum tree of w.
+    All minimum trees of w have the same sorted weights, so the check
+    fails only when the h-tree's sorted w differ from that tree's: the
+    h-tree is then not a minimum tree under h**alpha.
+
+    The paper's claim needs alpha > 0: an empty list, or an alpha that is
+    not > 0 (NaN included), raises ValueError.
+    """
+    alphas = tuple(alphas)
+    if not alphas:
+        raise ValueError("need at least one alpha")
+    if not all(a > 0 for a in alphas):
+        raise ValueError(f"alpha must be positive, got {list(alphas)}")
     coords = _validate_coords(coords)
     n = len(coords)
     if n < 2:
         return True
     ii, jj = _pairs(n)
     base = row_weight_fn(spec, coords)(ii, jj)
-    edge_sets = {frozenset(_kruskal(n, ii, jj, base**alpha)) for alpha in alphas}
-    return len(edge_sets) <= 1
-
-
-class InvalidKError(ValueError):
-    """Sector count too small for the weight band's ratio c1/c2."""
-
-
-def sector_ratio_r0(K: int, ratio: float) -> float:
-    """Largest x in (0, 1] with sqrt(1 + x^2 - 2x cos(2pi/K)) >= ratio.
-
-    Two tree edges leaving the same vertex inside one angular sector of
-    width 2pi/K must have length ratio (shorter over longer) at most this
-    value; otherwise replacing the longer edge by the third triangle side
-    would improve the tree.  Requires sqrt(2 - 2cos(2pi/K)) < ratio, i.e.
-    the sector narrow enough that the triangle argument bites at all.  At
-    ratio = 1 (a single-constant band) the root degenerates to 1 and the
-    audit is vacuous.
-    """
-    if K < 3:
-        raise InvalidKError("need at least 3 sectors")
-    if not 0 < ratio <= 1:
-        raise ValueError("ratio must be in (0, 1]")
-    theta = TWO_PI / K
-    if not math.sqrt(2.0 - 2.0 * math.cos(theta)) < ratio:
-        raise InvalidKError(
-            f"K={K} violates sqrt(2 - 2cos(2pi/K)) < c1/c2 = {ratio}"
-        )
-    if ratio >= 1.0:
-        return 1.0
-
-    def g(x: float) -> float:
-        return math.sqrt(1.0 + x * x - 2.0 * x * math.cos(theta))
-
-    # g decreases from 1 at x=0 to sin(theta) at x=cos(theta); the
-    # precondition puts ratio strictly between those, so the root is
-    # unique on this branch and g >= ratio exactly on (0, root].
-    lo, hi = 0.0, math.cos(theta)
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2.0
-        if g(mid) >= ratio:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
-def sector_ratio_audit(
-    spec: WeightSpec, coords: np.ndarray, result: MstResult, K: int
-) -> list[tuple[int, int, float, float]]:
-    """Check incident-edge length ratios within angular sectors.
-
-    At every vertex, incident tree edges are bucketed into K equal
-    angular sectors (measured from the positive x axis); within a sector
-    the Euclidean lengths are sorted descending and every consecutive
-    ratio must be <= r0 + 1e-9.  Returns the violations as
-    (vertex, sector, longer, shorter) tuples; empty means clean.
-    """
-    coords = np.asarray(coords, dtype=float)
-    r0 = sector_ratio_r0(K, spec.c1 / spec.c2)
-    incident: list[list[int]] = [[] for _ in range(result.n)]
-    for a, b in zip(result.edge_i, result.edge_j):
-        incident[int(a)].append(int(b))
-        incident[int(b)].append(int(a))
-    theta = TWO_PI / K
-    violations = []
-    for v, nbrs in enumerate(incident):
-        if len(nbrs) < 2:
+    order = _kappa_order(ii, jj, base)
+    tree = None
+    for alpha in alphas:
+        w = base**alpha
+        moved = _kappa_order(ii, jj, w)
+        if np.array_equal(moved, order):
             continue
-        buckets: dict[int, list[float]] = {}
-        for u in nbrs:
-            dx = coords[u, 0] - coords[v, 0]
-            dy = coords[u, 1] - coords[v, 1]
-            ang = math.atan2(dy, dx) % TWO_PI
-            sec = min(int(ang / theta), K - 1)
-            buckets.setdefault(sec, []).append(math.hypot(dx, dy))
-        for sec, lens in buckets.items():
-            if len(lens) < 2:
-                continue
-            lens.sort(reverse=True)
-            for longer, shorter in zip(lens, lens[1:]):
-                if shorter / longer > r0 + 1e-9:
-                    violations.append((v, sec, longer, shorter))
-    return violations
+        if tree is None:
+            tree = _kruskal(n, ii, jj, order)
+        other = _kruskal(n, ii, jj, moved)
+        if not np.array_equal(np.sort(w[tree]), np.sort(w[other])):
+            return False
+    return True
 
 
 class SpecMissingPropertyError(ValueError):
@@ -877,17 +815,3 @@ def translate_check(
     lhs = moved.total_weight(alpha)
     rhs = spec.h0**alpha * base.total_weight(alpha)
     return lhs, rhs, lhs <= rhs + 1e-10
-
-
-def scale_translate_check(
-    spec: WeightSpec, coords: np.ndarray, a: float, b, alpha: float
-) -> bool:
-    """Combined verdict for the scaling identity and the translation bound."""
-    ok = True
-    if spec.homogeneous:
-        lhs, rhs, same = scale_check(spec, coords, a, alpha)
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        ok &= same and rel <= 1e-10
-    if spec.h0 is not None:
-        ok &= translate_check(spec, coords, b, alpha)[2]
-    return ok

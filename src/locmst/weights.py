@@ -49,10 +49,6 @@ from scipy.special import zeta
 from .geometry import Rect
 
 
-class EquivalenceViolationError(AssertionError):
-    """A sampled weight ratio escaped the declared [c1, c2] band."""
-
-
 class DegenerateEdgeError(ValueError):
     """Weight requested for a zero-length edge (u = v)."""
 
@@ -275,52 +271,7 @@ def row_weight_fn(spec: WeightSpec, coords: np.ndarray):
     return row
 
 
-def weight_matrix(spec: WeightSpec, coords: np.ndarray) -> np.ndarray:
-    """Dense (n, n) base-weight matrix with a zero diagonal."""
-    return row_weight_fn(spec, coords)(np.s_[:, None], np.s_[:])
-
-
 def _radii(spec: WeightSpec, coords: np.ndarray) -> np.ndarray:
     px = coords[:, 0] - spec.origin[0]
     py = coords[:, 1] - spec.origin[1]
     return np.sqrt(px * px + py * py)
-
-
-def equivalence_audit(
-    spec: WeightSpec,
-    samples: int = 1000,
-    seed: int = 0,
-    coords: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Sample weight/distance ratios over random distinct pairs.
-
-    Pairs come from ``coords`` when given, otherwise from fresh uniform
-    points in the unit square.  Returns the observed (min, max) ratio.
-    Raises EquivalenceViolationError with the witness pair if any ratio
-    leaves [c1, c2] by more than a relative 1e-12.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    lo, hi = math.inf, -math.inf
-    if coords is not None:
-        coords = np.asarray(coords, dtype=float)
-        if len(coords) < 2:
-            raise ValueError("need at least two points to audit")
-    for _ in range(samples):
-        if coords is None:
-            u, v = rng.random(2), rng.random(2)
-        else:
-            i, j = rng.choice(len(coords), size=2, replace=False)
-            u, v = coords[i], coords[j]
-        d = math.hypot(u[0] - v[0], u[1] - v[1])
-        if d == 0.0:
-            continue
-        ratio = pair_weight(spec, u, v) / d
-        if ratio < spec.c1 * (1 - 1e-12) or ratio > spec.c2 * (1 + 1e-12):
-            raise EquivalenceViolationError(
-                f"pair {tuple(u)}, {tuple(v)} has ratio {ratio}, outside "
-                f"[{spec.c1}, {spec.c2}]"
-            )
-        lo, hi = min(lo, ratio), max(hi, ratio)
-    return lo, hi

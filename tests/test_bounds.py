@@ -1,4 +1,4 @@
-"""Envelope constants, geometric moments, and the concentration bound.
+"""Envelope constants and geometric moments.
 
 Oracles used here, in order of appearance:
 
@@ -17,11 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from locmst.bounds import (
     BoundsResult,
-    InvalidEpsError,
     InvalidPError,
     beta_low,
     beta_up,
-    chernoff_bound,
     compute_bounds,
     delta_for,
     geometric_moment,
@@ -180,27 +178,3 @@ class TestComputeBounds:
             compute_bounds(1.0, -0.5, 1.0)
         with pytest.raises(ValueError):
             compute_bounds(1.0, 2.0, 1.0)  # eps1 > eps2
-
-
-class TestChernoff:
-    def test_frozen_example(self):
-        # exp(-0.1^2 * 100 * 0.5 / 4) = exp(-1/8)
-        want = math.exp(-0.125)
-        assert chernoff_bound(100, 0.5, 0.1) == pytest.approx(want, rel=1e-15)
-
-    def test_eps_domain(self):
-        for bad in (0.0, 0.5, 0.7, -0.2):
-            with pytest.raises(InvalidEpsError):
-                chernoff_bound(10, 1.0, bad)
-
-    @given(
-        m=st.integers(min_value=1, max_value=10_000),
-        mu=st.floats(min_value=1e-3, max_value=100.0),
-        eps=st.floats(min_value=1e-6, max_value=0.499),
-    )
-    @settings(max_examples=200)
-    def test_bound_in_unit_interval_and_monotone(self, m, mu, eps):
-        b = chernoff_bound(m, mu, eps)
-        # the true bound is positive but may underflow to exactly 0.0
-        assert 0.0 <= b <= 1.0
-        assert chernoff_bound(2 * m, mu, eps) <= b

@@ -314,6 +314,16 @@ def test_reproduction_command_as_a_process(tmp_path, name):
 
 def test_usage_errors_exit_2_as_a_process(tmp_path):
     assert run_process([], tmp_path).returncode == 2
-    proc = run_process(["bounds", "--alpha", "0"], tmp_path)
-    assert proc.returncode == 2
-    assert "locmst:" in proc.stderr
+    for argv in (
+        ["bounds", "--alpha", "0"],
+        # the paper's claims need alpha > 0; NaN is refused too
+        ["invariance", "--alpha=-1,1", "--n", "20", "--instances", "2"],
+        ["invariance", "--alpha=-1", "--n", "20", "--instances", "2"],
+        ["invariance", "--alpha=nan", "--n", "20", "--instances", "2"],
+        ["simulate", "--alpha", "0", "--n", "30", "--out-mst", "m.json"],
+        ["simulate", "--alpha", "nan", "--n", "30", "--out-mst", "m.json"],
+    ):
+        proc = run_process(argv, tmp_path)
+        assert proc.returncode == 2, argv
+        assert "locmst:" in proc.stderr
+    assert not any(tmp_path.iterdir())  # no artifact written

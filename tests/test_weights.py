@@ -10,7 +10,6 @@ from locmst.weights import (
     DegenerateEdgeError,
     WeightSpec,
     build_hotspot_layout,
-    equivalence_audit,
     euclidean_spec,
     hotspot_spec,
     in_central_cells,
@@ -19,7 +18,6 @@ from locmst.weights import (
     row_weight_fn,
     shifted_spec,
     spec_from_kind,
-    weight_matrix,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
@@ -182,53 +180,50 @@ def test_band_ordering_validated():
         WeightSpec(kind="euclidean", c1=0.0, c2=1.0)
 
 
-def test_weight_matrix_symmetric_and_matches_pairs():
-    rng = np.random.default_rng(3)
-    pts = rng.random((12, 2))
-    for kind in ("euclidean", "hotspot", "shifted"):
-        spec = spec_from_kind(kind)
-        m = weight_matrix(spec, pts)
-        assert m.shape == (12, 12)
-        np.testing.assert_allclose(m, m.T)
-        assert (np.diag(m) == 0).all()
-        for i in range(12):
-            for j in range(i + 1, 12):
-                assert m[i, j] == pytest.approx(
-                    pair_weight(spec, pts[i], pts[j]), rel=1e-14
-                )
+NEAR = [[0.9999999999999998, 0.46875], [0.9999999999999999, 0.46875]]
 
 
-def test_row_weight_fn_matches_matrix():
-    rng = np.random.default_rng(4)
-    pts = rng.random((30, 2))
-    for kind in ("euclidean", "hotspot", "shifted"):
-        spec = spec_from_kind(kind)
-        m = weight_matrix(spec, pts)
-        row = row_weight_fn(spec, pts)
-        for k in (0, 7, 29):
-            np.testing.assert_allclose(row(k), m[k], rtol=1e-14, atol=0)
+def band_points() -> np.ndarray:
+    """Uniform points, the centre of every discount cell, and a
+    near-coincident pair where |r_u - r_v| rounds above d."""
+    centres = [((c.xmin + c.xmax) / 2, (c.ymin + c.ymax) / 2)
+               for c in hotspot_spec().layout.central_cells()]
+    return np.vstack([np.random.default_rng(4).random((60, 2)), centres, NEAR])
 
 
-def test_equivalence_audit_reports_band_ratios():
-    for kind in ("euclidean", "hotspot", "shifted"):
-        spec = spec_from_kind(kind)
-        lo, hi = equivalence_audit(spec, samples=500, seed=9)
-        assert spec.c1 * (1 - 1e-9) <= lo <= hi <= spec.c2 * (1 + 1e-9)
-    # euclidean ratios are exactly 1
-    lo, hi = equivalence_audit(euclidean_spec(), samples=200, seed=1)
-    assert lo == pytest.approx(1.0) and hi == pytest.approx(1.0)
+@pytest.mark.parametrize("kind", ["euclidean", "hotspot", "shifted"])
+def test_every_pair_lies_in_its_band_exactly(kind):
+    # c1 d <= h <= c2 d, and h >= lam d with lam as mst_bands sets it, hold
+    # bit for bit over every pair; mst_bands rests on the second
+    spec = spec_from_kind(kind)
+    pts = band_points()
+    n = len(pts)
+    i, j = np.triu_indices(n, k=1)
+    row = row_weight_fn(spec, pts)
+    h = row(i, j)
+    assert h.tolist() == [pair_weight(spec, pts[a], pts[b]) for a, b in zip(i, j)]
+    assert (row(j, i) == h).all()
+    rows = np.stack([row(k) for k in range(n)])  # the whole-row form
+    assert (rows[i, j] == h).all() and (rows[j, i] == h).all()
+    assert (np.diag(rows) == 0).all()
+    d = row_weight_fn(euclidean_spec(), pts)(i, j)
+    assert (spec.c1 * d <= h).all() and (h <= spec.c2 * d).all()
+    cheap = in_central_cells(spec, pts)
+    discount = cheap[i] | cheap[j]
+    # the three centres pair with the 64 other points, less 3 pairs counted twice
+    assert discount.sum() == (3 * 64 - 3 if kind == "hotspot" else 0)
+    lam = spec.c2 if kind == "hotspot" else 1.0
+    assert (h[~discount] >= lam * d[~discount]).all()
+    assert (h[discount] == spec.c1 * d[discount]).all()
 
 
 def test_shifted_weight_stays_in_its_band_at_near_coincident_points():
-    # |r_u - r_v| rounds above d here; both weight paths used to give 2 d,
-    # and the audit raised on these valid points
-    pts = np.array([[0.9999999999999998, 0.46875], [0.9999999999999999, 0.46875]])
+    # |r_u - r_v| rounds above d here; both weight paths used to give 2 d
+    pts = np.array(NEAR)
     spec = shifted_spec()
     d = math.hypot(*(pts[0] - pts[1]))
     assert pair_weight(spec, pts[0], pts[1]) == row_weight_fn(spec, pts)(0, 1)
     assert d <= pair_weight(spec, pts[0], pts[1]) <= 1.5 * d
-    lo, hi = equivalence_audit(spec, samples=20, coords=pts)
-    assert 1.0 <= lo <= hi <= 1.5
 
 
 def test_homogeneity_and_translation_flags():
