@@ -1,11 +1,13 @@
 """Weight kinds, the envelope band, and the hotspot layout."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from locmst.mst import minimum_spanning_tree
 from locmst.weights import (
     DegenerateEdgeError,
     WeightSpec,
@@ -238,3 +240,32 @@ def test_homogeneity_and_translation_flags():
 def test_spec_from_kind_rejects_unknown():
     with pytest.raises(ValueError):
         spec_from_kind("manhattan")
+
+
+def pin_points() -> np.ndarray:
+    """Fixed uniform draws plus the centre of every discount cell."""
+    centres = [((c.xmin + c.xmax) / 2, (c.ymin + c.ymax) / 2)
+               for c in hotspot_spec().layout.central_cells()]
+    return np.vstack([np.random.default_rng(2024).random((400, 2)), centres])
+
+
+WEIGHT_PINS = {
+    "euclidean": "b04bdd910fe436557daf5caf42e2d405cf66b2e13fc5bb883df140a60a1177a3",
+    "hotspot": "d7b17345679ffc0604215bbdf9aa0cd92b4f49bcbbac934ef58c4d4cc0ff5a6d",
+    "shifted": "ee3447d49ee1f1096f585d08cdc7c4f299ae2fcd3a0f77018aae9c81fcd846f5",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHT_PINS))
+def test_pair_weights_and_tree_are_pinned(kind):
+    # SHA-256 over the bits of every pair weight and of the solved tree;
+    # any change in the weight arithmetic moves it
+    spec = spec_from_kind(kind)
+    pts = pin_points()
+    i, j = np.triu_indices(len(pts), k=1)
+    tree = minimum_spanning_tree(spec, pts)
+    digest = hashlib.sha256()
+    for part in (row_weight_fn(spec, pts)(i, j), tree.edge_i, tree.edge_j,
+                 tree.base_weights):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    assert digest.hexdigest() == WEIGHT_PINS[kind]
