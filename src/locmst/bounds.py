@@ -54,14 +54,14 @@ def _eulerian_row(r: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def geometric_moment(r: float, p: float, tol: float = 1e-12) -> float:
+def geometric_moment(r: float, p: float) -> float:
     """E[T**r] for T geometric on {1, 2, ...}, P(T = t) = p (1-p)**(t-1).
 
     Integer r uses the Eulerian-polynomial closed form
     E[T**r] = (sum_k A(r, k) q**k) / p**r  (so 1/p for r = 1 and
     (2 - p) / p**2 for r = 2).  Non-integer r is summed directly,
     truncated once a rigorous geometric bound on the dropped tail falls
-    below ``tol`` relative.  Below p = 1e-4 the sum is numerically
+    below 1e-12 relative.  Below p = 1e-4 the sum is numerically
     indistinguishable from its small-p limit Gamma(r + 1) / p**r
     (relative error O(r**2 p)), which is returned directly.
     """
@@ -69,8 +69,6 @@ def geometric_moment(r: float, p: float, tol: float = 1e-12) -> float:
         raise InvalidPError(f"p must be in (0, 1), got {p}")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     q = 1.0 - p
     if abs(r - round(r)) < 1e-12:
         ri = int(round(r))
@@ -91,7 +89,7 @@ def geometric_moment(r: float, p: float, tol: float = 1e-12) -> float:
         ratio = (start / (start - 1.0)) ** r * q
         if ratio < 1.0:
             tail = start**r * q ** (start - 1.0) / (1.0 - ratio)
-            if tail <= tol * max(total, 1e-300):
+            if tail <= 1e-12 * max(total, 1e-300):
                 break
         if start > 50_000_000:
             raise RuntimeError("geometric moment series failed to converge")
@@ -139,13 +137,13 @@ def upper_constant_at(
     return (2.0 * A) ** alpha * (1.0 + moment / A**2)
 
 
-def _golden(f, a: float, b: float, maximize: bool, tol: float = 1e-12):
+def _golden(f, a: float, b: float, maximize: bool):
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     sign = 1.0 if maximize else -1.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = sign * f(c), sign * f(d)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
+    while b - a > 1e-12 * max(1.0, abs(a) + abs(b)):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -209,7 +207,7 @@ def compute_bounds(
     c1: float = 1.0,
     c2: float = 1.0,
 ) -> BoundsResult:
-    if alpha <= 0:
+    if not alpha > 0:  # NaN too
         raise ValueError("alpha must be positive")
     if not 0 < eps1 <= eps2:
         raise ValueError("need 0 < eps1 <= eps2")

@@ -22,7 +22,6 @@ from .experiments import (
     run_weight_study,
 )
 from .io import (
-    RunConfig,
     bounds_to_json,
     envelope,
     mst_result_to_csv,
@@ -64,13 +63,13 @@ def _alpha_grid(text: str) -> tuple[float, ...]:
     return tuple(np.arange(lo, hi + step / 2, step).tolist())
 
 
-def _config(args, command: str) -> RunConfig:
+def _config(args, command: str) -> dict:
     params = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(args).items()
         if k != "func" and v is not None
     }
-    return RunConfig(command=command, params=params)
+    return {"command": command, "params": params}
 
 
 def cmd_bounds(args) -> int:
@@ -266,6 +265,11 @@ def cmd_probe(args) -> int:
 
 
 def cmd_invariance(args) -> int:
+    # refused before sampling: with no instance nothing else checks alpha
+    if not all(a > 0 for a in args.alpha):  # NaN too
+        raise ValueError("alpha must be positive")
+    if args.instances < 1:
+        raise ValueError("instances must be >= 1")
     spec = spec_from_kind(args.kind)
     density = Density.uniform()
     for rep in range(args.instances):

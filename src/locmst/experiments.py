@@ -42,8 +42,8 @@ from .sampling import (
 from .weights import (
     HotspotLayout,
     WeightSpec,
-    build_hotspot_layout,
     euclidean_spec,
+    hotspot_spec,
     row_weight_fn,
     spec_from_kind,
 )
@@ -52,10 +52,6 @@ from .mst import minimum_spanning_tree, mst_with_point
 
 class EmptyPointSetError(ValueError):
     pass
-
-
-class GeometryInfeasibleError(ValueError):
-    """The requested planted construction does not fit in the grid."""
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +182,14 @@ def tiled_upper_bound(
     if n == 0:
         raise EmptyPointSetError("the constructed tree needs at least one point")
     idx = cells_of(tiling, coords)
-    by_cell: dict[int, list[int]] = {}
-    for point, cell in enumerate(idx):
-        by_cell.setdefault(int(cell), []).append(point)
-    cells = sorted(by_cell)
-    edges: list[tuple[int, int]] = []
-    reps = []
-    for cell in cells:
-        members = by_cell[cell]
-        rep = min(members)
-        reps.append(rep)
-        edges.extend((rep, p) for p in members if p != rep)
-    edges.extend(zip(reps[:-1], reps[1:]))
-    a, b = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    order = np.argsort(idx, kind="stable")  # by cell, then by point index
+    cell = idx[order]
+    first = np.concatenate(([True], cell[1:] != cell[:-1]))
+    reps = order[first]  # each occupied cell's lowest index, in snake order
+    # a star on each cell's rep, then a chain through the reps
+    a = np.concatenate([reps[np.cumsum(first) - 1][~first], reps[:-1]])
+    b = np.concatenate([order[~first], reps[1:]])
+    # math.fsum is exactly rounded, so the edge order does not matter
     tree_w = row_weight_fn(spec, coords)(a, b).tolist()
     w_uni = math.fsum(map(pow, tree_w, repeat(alpha)))
     s_alpha = gap_stat(tiling, coords).s_alpha(alpha)
@@ -245,10 +236,10 @@ def one_node_difference(
     d_all = np.sqrt(dx * dx + dy * dy)
     d_all[j] = np.inf
     f1 = spec.c2**alpha * float(d_all.min()) ** alpha
-    nbrs = [int(b) for a, b in zip(full.edge_i, full.edge_j) if a == j]
-    nbrs += [int(a) for a, b in zip(full.edge_i, full.edge_j) if b == j]
+    nbrs = np.concatenate([full.edge_j[full.edge_i == j],
+                           full.edge_i[full.edge_j == j]])
     f2 = (2.0 * spec.c2) ** alpha * math.fsum(
-        float(d_all[v]) ** alpha for v in nbrs
+        map(pow, d_all[nbrs].tolist(), repeat(alpha))
     )
     return OneNodeReport(delta=delta, f1=f1, f2=f2,
                          holds=delta <= f1 + f2 + 1e-12)
@@ -369,8 +360,6 @@ def prop1_demo(
     reps: int = 10,
     seed: int = 0,
     mode: str = "conditional",
-    layout: HotspotLayout | None = None,
-    density: Density | None = None,
 ) -> Prop1Report:
     """Demonstrate the forced star at a hotspot.
 
@@ -393,14 +382,12 @@ def prop1_demo(
         raise ValueError(f"unknown mode {mode!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if density is None:
-        density = Density.uniform()
-    if layout is None:
-        layout = build_hotspot_layout(K, n_levels=max(3, level))
+    density = Density.uniform()
+    spec = hotspot_spec(K, n_levels=max(3, level))
+    layout = spec.layout
     lv = layout.level(level)
     n = lv.n_level
     m = len(lv.cells)
-    spec = WeightSpec(kind="hotspot", c1=1.0 / (16 * K), c2=1.0, layout=layout)
     occurrences = 0
     star_ok = 0
     min_deg = -1
@@ -489,7 +476,6 @@ def good_square_probe(
     alpha=1.0,
     seed: int = 0,
     x_at_center: bool = False,
-    s: int | None = None,
 ) -> GoodSquareReport:
     """Planted local configuration around an empty moat.
 
@@ -502,20 +488,16 @@ def good_square_probe(
     [(3g-1)**alpha, (5g-1)**alpha] * cell_side**alpha.
 
     Euclidean weights only; the grid resolution is raised to
-    max(30g + 11, ceil(sqrt(n))) so the moat always fits, unless an
-    explicit s is forced.
+    max(30g + 11, ceil(sqrt(n))) so the moat always fits.
     """
     if g < 5:
         raise ValueError("g must be >= 5")
     if n < 100:
         raise ValueError("need at least 100 points")
     alphas = tuple(float(a) for a in (alpha if np.iterable(alpha) else (alpha,)))
-    if s is None:
-        s = max(30 * g + 11, math.isqrt(n - 1) + 1)
-    if 30 * g + 11 > s:
-        raise GeometryInfeasibleError(
-            f"grid of {s} cells per side cannot host the radius-{15 * g} moat"
-        )
+    if not all(a > 0 for a in alphas):  # NaN too
+        raise ValueError("alpha must be positive")
+    s = max(30 * g + 11, math.isqrt(n - 1) + 1)
     spec = euclidean_spec()
     side = 1.0 / s
     cc = s // 2  # center cell grid coords (col, row from bottom)

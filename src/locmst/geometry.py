@@ -79,7 +79,6 @@ class Tiling:
     """
 
     n: int
-    a_target: float
     a_n: float
     s: int
 
@@ -92,8 +91,7 @@ class Tiling:
         """Build a tiling directly from a grid resolution (a_n = sqrt(n)/s)."""
         if s < 1:
             raise ValueError("s must be >= 1")
-        a = math.sqrt(n) / s
-        return cls(n=n, a_target=a, a_n=a, s=s)
+        return cls(n=n, a_n=math.sqrt(n) / s, s=s)
 
 
 def build_tiling(n: int, a_target: float = 1.0) -> Tiling:
@@ -112,7 +110,7 @@ def build_tiling(n: int, a_target: float = 1.0) -> Tiling:
         raise ValueError("a_target must be positive")
     s = _admissible_s(n, a_target)
     if s is not None:
-        return Tiling(n=n, a_target=a_target, a_n=math.sqrt(n) / s, s=s)
+        return Tiling(n=n, a_n=math.sqrt(n) / s, s=s)
     near = _nearest_admissible_n(n, a_target)
     raise NoAdmissibleAError(
         f"no admissible side parameter for n={n}, a_target={a_target}; "

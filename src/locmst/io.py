@@ -9,7 +9,7 @@ produced it and a format version.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 from .bounds import BoundsResult
@@ -37,37 +37,24 @@ def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """What produced an artifact: the subcommand and its parameters."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        return {"command": self.command, "params": dict(self.params)}
-
-
-def envelope(kind: str, config: RunConfig | None, payload) -> str:
+def envelope(kind: str, config: dict | None, payload) -> str:
     doc = {
         "artifact": kind,
         "version": ARTIFACT_VERSION,
-        "config": config.to_jsonable() if config else None,
+        "config": config,
         "result": payload,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_header(config: RunConfig | None) -> list[str]:
+def _csv_header(config: dict | None) -> list[str]:
     lines = [f"# locmst-artifact v{ARTIFACT_VERSION}"]
     if config is not None:
-        lines.append(
-            "# config: " + json.dumps(config.to_jsonable(), sort_keys=True)
-        )
+        lines.append("# config: " + json.dumps(config, sort_keys=True))
     return lines
 
 
-def point_set_to_csv(ps: PointSet, config: RunConfig | None = None) -> str:
+def point_set_to_csv(ps: PointSet, config: dict | None = None) -> str:
     lines = _csv_header(config)
     lines.append("index,x,y")
     for i, (x, y) in enumerate(ps.coords):
@@ -79,7 +66,7 @@ def mst_result_to_json(
     result: MstResult,
     alpha: float,
     weight_kind: str,
-    config: RunConfig | None = None,
+    config: dict | None = None,
 ) -> str:
     payload = {
         "n": result.n,
@@ -96,7 +83,7 @@ def mst_result_to_json(
     return envelope("mst", config, payload)
 
 
-def mst_result_to_csv(result: MstResult, config: RunConfig | None = None) -> str:
+def mst_result_to_csv(result: MstResult, config: dict | None = None) -> str:
     lines = _csv_header(config)
     lines.append("i,j,base_weight")
     for i, j, w in zip(result.edge_i, result.edge_j, result.base_weights):
@@ -104,7 +91,7 @@ def mst_result_to_csv(result: MstResult, config: RunConfig | None = None) -> str
     return "\n".join(lines) + "\n"
 
 
-def records_to_csv(records, config: RunConfig | None = None) -> str:
+def records_to_csv(records, config: dict | None = None) -> str:
     lines = _csv_header(config)
     lines.append(",".join(RECORD_COLUMNS))
     for rec in records:
@@ -119,11 +106,11 @@ def records_to_csv(records, config: RunConfig | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scaling_fits_to_json(fits, config: RunConfig | None = None) -> str:
+def scaling_fits_to_json(fits, config: dict | None = None) -> str:
     return envelope("scaling_fits", config, [asdict(f) for f in fits])
 
 
-def bounds_to_json(results, config: RunConfig | None = None) -> str:
+def bounds_to_json(results, config: dict | None = None) -> str:
     if isinstance(results, BoundsResult):
         payload = asdict(results)
     else:

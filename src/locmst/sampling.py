@@ -93,11 +93,9 @@ class Density:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Points in the unit square plus the provenance needed to regenerate them."""
+    """Points in the unit square."""
 
     coords: np.ndarray
-    seed: int | None = None
-    process: str = "constructed"
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)
@@ -164,7 +162,7 @@ def sample_binomial(
     if n < 0:
         raise ValueError("n must be >= 0")
     rng = derive_rng(seed, *key)
-    return PointSet(_rejection_sample(n, density, rng), seed=seed, process="binomial")
+    return PointSet(_rejection_sample(n, density, rng))
 
 
 def sample_poisson(
@@ -175,4 +173,4 @@ def sample_poisson(
         raise ValueError("n must be >= 0")
     rng = derive_rng(seed, *key)
     count = int(rng.poisson(n))
-    return PointSet(_rejection_sample(count, density, rng), seed=seed, process="poisson")
+    return PointSet(_rejection_sample(count, density, rng))

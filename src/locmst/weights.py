@@ -9,9 +9,9 @@ compare plain base weights.
 Three weight kinds:
 
 * ``euclidean`` -- h = d, c1 = c2 = 1.
-* ``shifted`` -- h(u, v) = d(u, v) + |d(u, O) - d(v, O)| / 2 with O the
-  origin corner of the unit square; a metric with d <= h <= 1.5 d, and
-  1-homogeneous under scaling about O.
+* ``shifted`` -- h(u, v) = d(u, v) + |r(u) - r(v)| / 2 with r the distance
+  from (0, 0); a metric with d <= h <= 1.5 d, and 1-homogeneous under
+  scaling about (0, 0).
 * ``hotspot`` -- h = c1 * d when either endpoint lies in one of a family
   of tiny "discount" cells, else c2 * d.  The cell family is a fixed
   multi-scale layout (below) designed so that, on a suitable occupancy
@@ -32,7 +32,7 @@ level size n_i = D * i**3):
   co-centered with the inner square.  Only the central cells carry the
   c1 discount.
 
-The defaults c2 = 1, c1 = c2 / (16K) satisfy the requirement
+The constants c2 = 1, c1 = 1 / (16K) satisfy the requirement
 c1 < c2 / (8K), which makes every central-to-boundary edge strictly
 cheaper than any boundary-to-boundary edge on the occupancy event.
 """
@@ -137,7 +137,6 @@ class WeightSpec:
     c1: float = 1.0
     c2: float = 1.0
     layout: HotspotLayout | None = field(default=None, compare=False)
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.kind not in ("euclidean", "shifted", "hotspot"):
@@ -152,7 +151,7 @@ class WeightSpec:
 
     @property
     def homogeneous(self) -> bool:
-        """True when h(a*u, a*v) = a * h(u, v) about the origin."""
+        """True when h(a*u, a*v) = a * h(u, v) about (0, 0)."""
         return self.kind in ("euclidean", "shifted")
 
     @property
@@ -175,13 +174,13 @@ def euclidean_spec() -> WeightSpec:
 
 
 def shifted_spec() -> WeightSpec:
-    # |d(u,O) - d(v,O)| <= d(u,v) pins the band at [1, 3/2].
+    # |r(u) - r(v)| <= d(u, v) pins the band at [1, 3/2].
     return WeightSpec(kind="shifted", c1=1.0, c2=1.5)
 
 
-def hotspot_spec(K: int = 2, n_levels: int = 3, c2: float = 1.0) -> WeightSpec:
+def hotspot_spec(K: int = 2, n_levels: int = 3) -> WeightSpec:
     layout = build_hotspot_layout(K, n_levels)
-    return WeightSpec(kind="hotspot", c1=c2 / (16 * K), c2=c2, layout=layout)
+    return WeightSpec(kind="hotspot", c1=1.0 / (16 * K), c2=1.0, layout=layout)
 
 
 def spec_from_kind(kind: str) -> WeightSpec:
@@ -221,9 +220,8 @@ def pair_weight(spec: WeightSpec, u, v) -> float:
     if spec.kind == "euclidean":
         return d
     if spec.kind == "shifted":
-        ox, oy = spec.origin
-        ru = _dist(u[0], u[1], ox, oy)
-        rv = _dist(v[0], v[1], ox, oy)
+        ru = _dist(u[0], u[1], 0.0, 0.0)
+        rv = _dist(v[0], v[1], 0.0, 0.0)
         # |ru - rv| <= d exactly; the min keeps rounding inside the band
         return d + 0.5 * min(abs(ru - rv), d)
     cheap = in_central_cells(spec, np.asarray([u, v]))
@@ -255,7 +253,7 @@ def row_weight_fn(spec: WeightSpec, coords: np.ndarray):
             return dist(i, j)
 
     elif spec.kind == "shifted":
-        r = _radii(spec, coords)
+        r = np.sqrt(xs * xs + ys * ys)  # distance from (0, 0)
 
         def row(i, j=slice(None)) -> np.ndarray:
             d = dist(i, j)
@@ -269,9 +267,3 @@ def row_weight_fn(spec: WeightSpec, coords: np.ndarray):
             return dist(i, j) * np.where(cheap[i] | cheap[j], c1, c2)
 
     return row
-
-
-def _radii(spec: WeightSpec, coords: np.ndarray) -> np.ndarray:
-    px = coords[:, 0] - spec.origin[0]
-    py = coords[:, 1] - spec.origin[1]
-    return np.sqrt(px * px + py * py)

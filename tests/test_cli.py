@@ -314,16 +314,25 @@ def test_reproduction_command_as_a_process(tmp_path, name):
 
 def test_usage_errors_exit_2_as_a_process(tmp_path):
     assert run_process([], tmp_path).returncode == 2
-    for argv in (
-        ["bounds", "--alpha", "0"],
+    alpha = "locmst: alpha must be positive"
+    for argv, message in (
+        (["bounds", "--alpha", "0"], alpha),
         # the paper's claims need alpha > 0; NaN is refused too
-        ["invariance", "--alpha=-1,1", "--n", "20", "--instances", "2"],
-        ["invariance", "--alpha=-1", "--n", "20", "--instances", "2"],
-        ["invariance", "--alpha=nan", "--n", "20", "--instances", "2"],
-        ["simulate", "--alpha", "0", "--n", "30", "--out-mst", "m.json"],
-        ["simulate", "--alpha", "nan", "--n", "30", "--out-mst", "m.json"],
+        (["bounds", "--alpha", "nan", "--out", "b.json"], alpha),
+        (["invariance", "--alpha=-1,1", "--n", "20", "--instances", "2"], alpha),
+        (["invariance", "--alpha=-1", "--n", "20", "--instances", "2"], alpha),
+        (["invariance", "--alpha=nan", "--n", "20", "--instances", "2"], alpha),
+        # refused even when there is no instance to check
+        (["invariance", "--alpha=-1", "--instances", "0"], alpha),
+        (["invariance", "--instances", "0"], "locmst: instances must be >= 1"),
+        (["probe-good-square", "--alpha=0", "--n", "200", "--out", "p.json"],
+         alpha),
+        (["probe-good-square", "--alpha=nan", "--n", "200", "--out", "p.json"],
+         alpha),
+        (["simulate", "--alpha", "0", "--n", "30", "--out-mst", "m.json"], alpha),
+        (["simulate", "--alpha", "nan", "--n", "30", "--out-mst", "m.json"], alpha),
     ):
         proc = run_process(argv, tmp_path)
         assert proc.returncode == 2, argv
-        assert "locmst:" in proc.stderr
+        assert message in proc.stderr, argv
     assert not any(tmp_path.iterdir())  # no artifact written

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from locmst.experiments import (
     EmptyPointSetError,
-    GeometryInfeasibleError,
     StudyResult,
     _ols_loglog,
     fit_study,
@@ -24,7 +23,7 @@ from locmst.experiments import (
     tiled_upper_bound,
 )
 from locmst.geometry import Tiling, build_tiling, cell_rect, cells_of
-from locmst.mst import DuplicatePointsError
+from locmst.mst import DuplicatePointsError, minimum_spanning_tree
 from locmst.sampling import Density, sample_binomial
 from locmst.weights import (
     euclidean_spec,
@@ -266,6 +265,14 @@ class TestDeterministicBounds:
             rep = one_node_difference(spec, pts, j, 2.0)
             assert rep.holds, f"trial {trial}"
             assert rep.delta <= rep.f1 + rep.f2 + 1e-12
+            # f2 is the fsum over j's tree neighbours, found edge by edge
+            tree = minimum_spanning_tree(spec, pts)
+            edges = zip(tree.edge_i.tolist(), tree.edge_j.tolist())
+            nbrs = [b if a == j else a for a, b in edges if j in (a, b)]
+            d = [pair_weight(euclidean_spec(), pts[v], pts[j]) for v in nbrs]
+            assert rep.f2 == (2.0 * spec.c2) ** 2.0 * math.fsum(
+                x ** 2.0 for x in d
+            )
 
     def test_one_node_difference_validation(self):
         pts = np.random.default_rng(0).random((10, 2))
@@ -343,8 +350,6 @@ class TestGoodSquareProbe:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             good_square_probe(4, n=500)
-        with pytest.raises(GeometryInfeasibleError):
-            good_square_probe(5, n=500, s=100)
         with pytest.raises(ValueError):
             good_square_probe(5, n=50)
 

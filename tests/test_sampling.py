@@ -70,7 +70,7 @@ def test_binomial_reproducible_and_in_domain():
     c = sample_binomial(200, d, seed=43)
     np.testing.assert_array_equal(a.coords, b.coords)
     assert not np.array_equal(a.coords, c.coords)
-    assert a.n == 200 and a.process == "binomial"
+    assert a.n == 200
     assert (a.coords >= 0.0).all() and (a.coords < 1.0).all()
 
 
