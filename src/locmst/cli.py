@@ -64,10 +64,14 @@ def _alpha_grid(text: str) -> tuple[float, ...]:
 
 
 def _config(args, command: str) -> dict:
+    # where the artifacts go is not part of what produced them, so two
+    # runs that write under different names write the same bytes
     params = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(args).items()
-        if k != "func" and v is not None
+        if k not in ("func", "command", "plot")
+        and not k.startswith("out")
+        and v is not None
     }
     return {"command": command, "params": params}
 
@@ -270,6 +274,8 @@ def cmd_invariance(args) -> int:
         raise ValueError("alpha must be positive")
     if args.instances < 1:
         raise ValueError("instances must be >= 1")
+    if args.n < 2:  # a tree with no edge has nothing to keep stable
+        raise ValueError("n must be >= 2")
     spec = spec_from_kind(args.kind)
     density = Density.uniform()
     for rep in range(args.instances):

@@ -299,23 +299,20 @@ class Prop1Report:
         return self.star_ok == self.occurrences
 
 
-def _sample_in_rect(rect: Rect, density: Density, rng) -> np.ndarray:
-    """One point from the density restricted to a rectangle, by rejection.
+def _sample_in_rect(rect: Rect, rng) -> np.ndarray:
+    """One uniform point in a rectangle.
 
-    Kept apart from ``sampling._rejection_sample``: its fixed batches of
-    32 proposals scaled into the rectangle set ``prop1_demo``'s
-    conditional draws, and no shared batch rule reproduces them.
+    Draws a batch of 32 proposals scaled into the rectangle and the 32
+    acceptance uniforms that follow it in the stream, and returns the
+    first proposal: the draws ``prop1_demo``'s conditional mode is
+    pinned with.
     """
-    env = density.eps2
-    for _ in range(100_000):
-        pts = rng.random((32, 2))
-        pts[:, 0] = rect.xmin + pts[:, 0] * (rect.xmax - rect.xmin)
-        pts[:, 1] = rect.ymin + pts[:, 1] * (rect.ymax - rect.ymin)
-        u = rng.random(32)
-        ok = u * env <= density.values(pts)
-        if ok.any():
-            return pts[ok][0]
-    raise RuntimeError("in-cell rejection sampling failed")
+    pts = rng.random((32, 2))
+    rng.random(32)
+    return np.array([
+        rect.xmin + pts[0, 0] * (rect.xmax - rect.xmin),
+        rect.ymin + pts[0, 1] * (rect.ymax - rect.ymin),
+    ])
 
 
 def _detect_event(layout: HotspotLayout, level: int, coords: np.ndarray):
@@ -334,16 +331,15 @@ def _detect_event(layout: HotspotLayout, level: int, coords: np.ndarray):
     return True, cell_hits[0], tuple(cell_hits)
 
 
-def _event_log10(layout: HotspotLayout, level: int, n: int,
-                 density: Density) -> float:
-    """log10 of the exact probability that n i.i.d. points realize the
-    event: a multinomial over (cell_1, ..., cell_m, outside)."""
+def _event_log10(layout: HotspotLayout, level: int, n: int) -> float:
+    """log10 of the exact probability that n i.i.d. uniform points
+    realize the event: a multinomial over (cell_1, ..., cell_m, outside)."""
     lv = layout.level(level)
     m = len(lv.cells)
     log_p = float(gammaln(n + 1) - gammaln(n - m + 1))
     for cell in lv.cells:
-        log_p += math.log(density.integral_over(cell))
-    log_p += (n - m) * math.log1p(-density.integral_over(lv.big))
+        log_p += math.log(cell.area)
+    log_p += (n - m) * math.log1p(-lv.big.area)
     return log_p / math.log(10.0)
 
 
@@ -372,7 +368,7 @@ def prop1_demo(
 
     Modes: "planted" pins the special points at cell centers,
     "conditional" samples the exact conditional law of the binomial
-    process given the event (one density point per cell, the rest
+    process given the event (one uniform point per cell, the rest
     conditioned outside the big square), and "raw" samples the
     unconditioned process and scans for the event, whose probability is
     so small that zero occurrences is the expected outcome; the report
@@ -382,7 +378,6 @@ def prop1_demo(
         raise ValueError(f"unknown mode {mode!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    density = Density.uniform()
     spec = hotspot_spec(K, n_levels=max(3, level))
     layout = spec.layout
     lv = layout.level(level)
@@ -394,7 +389,9 @@ def prop1_demo(
     for rep in range(reps):
         rng = derive_rng(seed, level, rep)
         if mode == "raw":
-            coords = sample_binomial(n, density, seed, key=(level, rep)).coords
+            coords = sample_binomial(
+                n, Density.uniform(), seed, key=(level, rep)
+            ).coords
         else:
             planted = np.empty((m, 2))
             for k, cell in enumerate(lv.cells):
@@ -404,8 +401,8 @@ def prop1_demo(
                         (cell.ymin + cell.ymax) / 2.0,
                     )
                 else:
-                    planted[k] = _sample_in_rect(cell, density, rng)
-            outside = _rejection_sample(n - m, density, rng, avoid=lv.big)
+                    planted[k] = _sample_in_rect(cell, rng)
+            outside = _rejection_sample(n - m, rng, avoid=lv.big)
             coords = np.vstack([planted, outside])
         occurred, v0, special = _detect_event(layout, level, coords)
         if not occurred:
@@ -433,8 +430,8 @@ def prop1_demo(
         star_ok=star_ok,
         min_center_degree=min_deg,
         frequency=occurrences / reps,
-        floor_log10=prop1_floor_log10(K, density.eps1, density.eps2),
-        event_log10=_event_log10(layout, level, n, density),
+        floor_log10=prop1_floor_log10(K, 1.0, 1.0),
+        event_log10=_event_log10(layout, level, n),
     )
 
 
@@ -495,6 +492,8 @@ def good_square_probe(
     if n < 100:
         raise ValueError("need at least 100 points")
     alphas = tuple(float(a) for a in (alpha if np.iterable(alpha) else (alpha,)))
+    if not alphas:
+        raise ValueError("need at least one alpha")
     if not all(a > 0 for a in alphas):  # NaN too
         raise ValueError("alpha must be positive")
     s = max(30 * g + 11, math.isqrt(n - 1) + 1)
@@ -513,8 +512,7 @@ def good_square_probe(
         (cc + 15 * g + 1) * side,
         (cc + 15 * g + 1) * side,
     )
-    background = _rejection_sample(n - 13, Density.uniform(), derive_rng(seed, 1),
-                                   avoid=moat)
+    background = _rejection_sample(n - 13, derive_rng(seed, 1), avoid=moat)
     center_cell = Rect(cc * side, cc * side, (cc + 1) * side, (cc + 1) * side)
     if x_at_center:
         x_new = np.array([(cc + 0.5) * side, (cc + 0.5) * side])

@@ -52,23 +52,6 @@ class Rect:
             (self.xmin <= x) & (x <= self.xmax) & (self.ymin <= y) & (y <= self.ymax)
         )
 
-    def intersects(self, other: "Rect") -> bool:
-        """Half-open overlap test; rectangles touching along an edge or at a
-        corner do not intersect."""
-        return (
-            self.xmin < other.xmax
-            and other.xmin < self.xmax
-            and self.ymin < other.ymax
-            and other.ymin < self.ymax
-        )
-
-    def intersection_area(self, other: "Rect") -> float:
-        w = min(self.xmax, other.xmax) - max(self.xmin, other.xmin)
-        h = min(self.ymax, other.ymax) - max(self.ymin, other.ymin)
-        if w <= 0.0 or h <= 0.0:
-            return 0.0
-        return w * h
-
 
 @dataclass(frozen=True)
 class Tiling:

@@ -83,15 +83,16 @@ class TestSimulateCommand:
         assert len(body) == 60
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        path = tmp_path / "mst.json"
+        # also under another file name: an artifact does not embed its path
         outs = []
-        for _ in range(2):
+        for name in ("mst.json", "mst.json", "other.json"):
+            path = tmp_path / name
             assert run_cli(
                 "simulate", "--kind", "shifted", "--n", "40",
                 "--seed", "3", "--out-mst", path,
             ) == 0
             outs.append(path.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -325,6 +326,8 @@ def test_usage_errors_exit_2_as_a_process(tmp_path):
         # refused even when there is no instance to check
         (["invariance", "--alpha=-1", "--instances", "0"], alpha),
         (["invariance", "--instances", "0"], "locmst: instances must be >= 1"),
+        # a one-point tree has no edge that could move
+        (["invariance", "--n", "1", "--instances", "2"], "locmst: n must be >= 2"),
         (["probe-good-square", "--alpha=0", "--n", "200", "--out", "p.json"],
          alpha),
         (["probe-good-square", "--alpha=nan", "--n", "200", "--out", "p.json"],

@@ -1,5 +1,6 @@
 """Gap statistics, bound verifiers, planted constructions, and study fits."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from locmst.experiments import (
     EmptyPointSetError,
     StudyResult,
+    _event_log10,
     _ols_loglog,
+    _sample_in_rect,
     fit_study,
     gap_stat,
     gap_stat_monotonicity,
@@ -19,14 +22,16 @@ from locmst.experiments import (
     merge_bound_check,
     one_node_difference,
     prop1_demo,
+    prop1_floor_log10,
     run_weight_study,
     tiled_upper_bound,
 )
-from locmst.geometry import Tiling, build_tiling, cell_rect, cells_of
+from locmst.geometry import Rect, Tiling, build_tiling, cell_rect, cells_of
 from locmst.mst import DuplicatePointsError, minimum_spanning_tree
-from locmst.sampling import Density, sample_binomial
+from locmst.sampling import Density, derive_rng, sample_binomial
 from locmst.weights import (
     euclidean_spec,
+    hotspot_spec,
     pair_weight,
     shifted_spec,
     spec_from_kind,
@@ -323,6 +328,38 @@ class TestProp1:
         assert rep.event_log10 < -100
         assert rep.floor_log10 <= rep.event_log10
 
+    def test_in_cell_draw_pinned_and_inside(self):
+        """The conditional mode's in-cell draws, pinned together with the
+        stream values that follow them: the 32 acceptance uniforms each
+        draw discards fix where the next draw starts."""
+        cells = (
+            Rect(0.0, 0.0, 1.0, 1.0),
+            Rect(0.25, 0.5, 0.3, 0.75),
+            Rect(1e-3, 0.9, 2e-3, 0.9 + 1e-3),
+        )
+        h = hashlib.sha256()
+        for seed in range(3):
+            rng = derive_rng(seed, 1)
+            for cell in cells:
+                x, y = pt = _sample_in_rect(cell, rng)
+                assert pt.shape == (2,) and cell.contains(x, y)
+                h.update(pt.astype("<f8").tobytes())
+            h.update(rng.random(4).astype("<f8").tobytes())
+        assert h.hexdigest() == (
+            "40701cf93ff04fe4e376b77498669bccdb906598a5effb9acb9019d98f1164a3"
+        )
+
+    @pytest.mark.parametrize("K, level, event, floor", [
+        (2, 1, -422.2991435319093, -783.2352174041731),
+        (2, 2, -394.448350815687, -783.2352174041731),
+        (3, 1, -1173.3992741480743, -2174.1816794772344),
+    ])
+    def test_event_and_floor_odds_are_pinned(self, K, level, event, floor):
+        layout = hotspot_spec(K, n_levels=3).layout
+        n = layout.level(level).n_level
+        assert _event_log10(layout, level, n) == event
+        assert prop1_floor_log10(K, 1.0, 1.0) == floor
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             prop1_demo(2, mode="exhaustive")
@@ -352,6 +389,9 @@ class TestGoodSquareProbe:
             good_square_probe(4, n=500)
         with pytest.raises(ValueError):
             good_square_probe(5, n=50)
+        # an empty alpha list would check no increment and report ok
+        with pytest.raises(ValueError, match="need at least one alpha"):
+            good_square_probe(5, n=200, alpha=())
 
 
 class TestStudiesAndFits:

@@ -211,11 +211,3 @@ def test_rect_validation_and_area():
     np.testing.assert_array_equal(
         r.contains(np.array([0.0, 0.5]), 0.0), [True, False]
     )
-
-
-def test_rect_intersection_area():
-    a = Rect(0.0, 0.0, 1.0, 1.0)
-    b = Rect(0.5, 0.5, 2.0, 2.0)
-    assert a.intersection_area(b) == pytest.approx(0.25)
-    assert b.intersection_area(a) == pytest.approx(0.25)
-    assert a.intersection_area(Rect(2.0, 2.0, 3.0, 3.0)) == 0.0

@@ -95,8 +95,10 @@ class TestHotspotLayout:
             assert big.xmin == big.ymin and big.xmax == big.ymax
             if prev is not None:
                 assert big.xmin == pytest.approx(prev.xmax)
-            assert not any(
-                big.intersects(layout.level(j).big) for j in range(1, i)
+            # no overlap with an earlier level: each starts at or past the
+            # end of the one before it on the diagonal
+            assert all(
+                big.xmin >= layout.level(j).big.xmax for j in range(1, i)
             )
             prev = big
 
