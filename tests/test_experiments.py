@@ -349,6 +349,28 @@ class TestProp1:
             "40701cf93ff04fe4e376b77498669bccdb906598a5effb9acb9019d98f1164a3"
         )
 
+    def test_in_cell_draw_takes_96_stream_values(self):
+        """32 proposals and their 32 acceptance uniforms; the point is the
+        first proposal scaled into the cell."""
+        cell = Rect(0.25, 0.5, 0.3, 0.75)
+        rng, ref = derive_rng(6, 1), derive_rng(6, 1)
+        x, y = _sample_in_rect(cell, rng)
+        u = ref.random(96)
+        assert x == 0.25 + u[0] * (0.3 - 0.25)
+        assert y == 0.5 + u[1] * (0.75 - 0.5)
+        np.testing.assert_array_equal(rng.random(4), ref.random(4))
+
+    def test_in_cell_draw_is_uniform_in_the_cell(self):
+        cell = Rect(0.25, 0.5, 0.3, 0.75)
+        rng = derive_rng(8)
+        pts = np.array([_sample_in_rect(cell, rng) for _ in range(4000)])
+        assert cell.contains(pts[:, 0], pts[:, 1]).all()
+        # each coordinate is uniform on its side: mean at the middle,
+        # standard error side / sqrt(12 * 4000)
+        for k, (lo, hi) in enumerate(((0.25, 0.3), (0.5, 0.75))):
+            se = (hi - lo) / np.sqrt(12 * 4000)
+            assert abs(pts[:, k].mean() - (lo + hi) / 2) < 5 * se
+
     @pytest.mark.parametrize("K, level, event, floor", [
         (2, 1, -422.2991435319093, -783.2352174041731),
         (2, 2, -394.448350815687, -783.2352174041731),

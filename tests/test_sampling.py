@@ -37,6 +37,42 @@ def test_key_splits_the_stream():
     np.testing.assert_array_equal(b.coords, again.coords)
 
 
+def test_unconditioned_draw_is_the_raw_stream():
+    """A draw with nothing avoided is the next 2n stream values, whatever
+    the density object, and leaves the stream where they end."""
+    for n in (0, 1, 257):
+        rng, ref = derive_rng(3, n), derive_rng(3, n)
+        np.testing.assert_array_equal(
+            _rejection_sample(n, rng), ref.random((n, 2))
+        )
+        np.testing.assert_array_equal(rng.random(3), ref.random(3))
+        np.testing.assert_array_equal(
+            sample_binomial(n, Density(), seed=3, key=(n,)).coords,
+            sample_binomial(n, Density.uniform(), seed=3, key=(n,)).coords,
+        )
+
+
+def test_poisson_draws_the_count_then_the_points():
+    d = Density.uniform()
+    for seed in range(4):
+        ps = sample_poisson(40, d, seed=seed, key=(2,))
+        ref = derive_rng(seed, 2)
+        count = int(ref.poisson(40))
+        assert ps.n == count
+        np.testing.assert_array_equal(ps.coords, ref.random((count, 2)))
+    assert sample_poisson(0, d, seed=0).coords.shape == (0, 2)
+
+
+def test_uniform_draw_fills_the_grid_evenly():
+    """Chi-square of a 4 x 4 grid of cells: 15 degrees of freedom, mean
+    15 and sd ~5.5, so 50 is past six standard deviations."""
+    ps = sample_binomial(40_000, Density.uniform(), seed=11)
+    cells = np.floor(ps.coords * 4).astype(int)
+    counts = np.bincount(cells[:, 0] * 4 + cells[:, 1], minlength=16)
+    expected = 40_000 / 16
+    assert float(((counts - expected) ** 2 / expected).sum()) < 50.0
+
+
 def test_poisson_count_statistics():
     d = Density.uniform()
     counts = [sample_poisson(100, d, seed=5, key=(k,)).n for k in range(60)]
@@ -141,3 +177,18 @@ def test_avoid_draw_pinned_and_outside():
     assert _sha256(*draws) == (
         "5ac6a4621ccb540fa001e83086f12f1ed2eb24cbfdc645392af10d8a0eca4369"
     )
+
+
+def test_conditioned_draw_is_uniform_off_the_square():
+    """Outside the avoided square the points are uniform: the strip left
+    of the moat holds its share of the remaining area."""
+    pts = _rejection_sample(20_000, derive_rng(4), avoid=_MOAT)
+    share = (5 / 161) / (1.0 - _MOAT.area)
+    frac = float((pts[:, 0] < 5 / 161).mean())
+    assert abs(frac - share) < 5 * np.sqrt(share * (1 - share) / 20_000)
+
+
+def test_empty_conditioned_draw_leaves_the_stream_alone():
+    rng, ref = derive_rng(9), derive_rng(9)
+    assert _rejection_sample(0, rng, avoid=_MOAT).shape == (0, 2)
+    np.testing.assert_array_equal(rng.random(4), ref.random(4))
