@@ -64,12 +64,13 @@ def _alpha_grid(text: str) -> tuple[float, ...]:
 
 
 def _config(args, command: str) -> dict:
-    # where the artifacts go is not part of what produced them, so two
-    # runs that write under different names write the same bytes
+    # where the artifacts go and how many processes wrote them are not part
+    # of what produced them, so two runs that differ only there write the
+    # same bytes
     params = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in vars(args).items()
-        if k not in ("func", "command", "plot")
+        if k not in ("func", "command", "plot", "threads")
         and not k.startswith("out")
         and v is not None
     }
@@ -153,7 +154,7 @@ def _slope_line(fit) -> str:
 
 def _run_study_command(args, quantity: str) -> int:
     # refuse a study that cannot be fitted before any point is drawn
-    _check_study(args.n_list, args.reps, args.alpha)
+    _check_study(args.n_list, args.reps, args.alpha, args.threads)
     _check_fittable(quantity, args.n_list, args.reps)
     experiment = "scaling" if quantity == "mean" else "variance"
     study = run_weight_study(

@@ -16,6 +16,9 @@ computation on concrete point sets:
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -609,6 +612,19 @@ class StudyResult:
     weights: dict  # alpha -> (len(n_list), reps) array
 
 
+# Points, reps * sum(n_list), from which a study with threads=None forks
+# workers.  On a 2-core VM (Python 3.11, fork), starting and joining two
+# workers costs about 23 ms and each task adds about 0.5 ms of dispatch,
+# against 3-11 us per point in one process.  Median ms in one process /
+# in two workers, euclidean, shifted, hotspot, alphas 1 and 2:
+# n = 256..2048, 3 reps (11 520 points): 60/70, 63/68, 48/69;
+# n = 256..4096, 3 reps (23 808 points): 98/88, 122/104, 110/99;
+# n = 64..512, 30 reps (28 800 points): 256/231, 242/251, 236/233;
+# n = 256..8192, 2 reps (32 256 points): 126/99, 138/110, 129/108;
+# n = 256..8192, 3 reps (48 384 points): 154/137, 211/153, 212/154.
+_POOL_MIN_POINTS = 1 << 15
+
+
 def _study_task(args) -> tuple:
     (kind, n, rep, seed, alphas) = args
     t0 = time.perf_counter()
@@ -623,16 +639,20 @@ def _study_task(args) -> tuple:
     return (n, rep, totals, s_alphas, g_count, result.max_degree, runtime_ms)
 
 
-def _check_study(n_list, reps: int, alphas) -> None:
+def _check_study(n_list, reps: int, alphas, threads=None) -> None:
     """Refuse a study grid that would be sampled wrongly or not at all."""
     if reps < 2:
         raise ValueError("need at least two replicates")
+    if any(n < 3 for n in n_list):
+        raise ValueError("sizes must be >= 3")  # the tiling needs log(n) > 1
     if len(set(n_list)) < len(n_list):
         raise ValueError(f"repeated size in {list(n_list)}")
     if len(set(alphas)) < len(alphas):
         raise ValueError(f"repeated alpha in {list(alphas)}")
     if not all(a > 0 for a in alphas):
         raise ValueError("alpha must be positive")
+    if threads is not None and (not isinstance(threads, int) or threads < 1):
+        raise ValueError("threads must be >= 1")
 
 
 def _check_fittable(quantity: str, n_list, reps: int) -> None:
@@ -645,6 +665,35 @@ def _check_fittable(quantity: str, n_list, reps: int) -> None:
         raise ValueError(f"{quantity} slopes need at least {min_reps} replicates")
     if len(n_list) < 4:
         raise ValueError("need at least four sizes")
+
+
+def _start_method() -> str:
+    """The start method a pool would use, without fixing the default."""
+    return (multiprocessing.get_start_method(allow_none=True)
+            or multiprocessing.get_all_start_methods()[0])
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _study_workers(threads: int | None, tasks: int, points: int) -> int:
+    """Worker processes for a study; 1 runs it in this process.
+
+    threads=None picks one worker per usable core, but only for a study
+    of at least _POOL_MIN_POINTS points and only where workers are
+    forked: spawned ones would import numpy, scipy and locmst afresh.  A
+    process that runs other threads is not forked, since a lock one of
+    them holds would stay locked in the worker.
+    """
+    if threads is None:
+        if (points < _POOL_MIN_POINTS or _start_method() != "fork"
+                or threading.active_count() > 1):
+            return 1
+        threads = _usable_cores()
+    return min(threads, tasks)
 
 
 def run_weight_study(
@@ -661,21 +710,35 @@ def run_weight_study(
     Each instance is n binomial points of the uniform density, scored on
     the a_n = 1 tiling.  The edge set does not depend on alpha, so each
     sampled instance is solved once and scored at every requested
-    exponent.  With threads > 1 the replicates run in separate processes;
-    results are folded in task order either way, so the output is
-    identical.
+    exponent.
+
+    threads=k runs the replicates in k worker processes (never more than
+    there are tasks), and threads=1 runs them in this process.  The
+    default, threads=None, uses every usable core when the study has at
+    least _POOL_MIN_POINTS points in all (reps * sum(n_list)), workers
+    are forked and no other thread runs here, and this process otherwise.  Workers take the largest
+    instances first, one at a time, and every worker has exited when the
+    call returns.  Results are folded in task order either way, so the
+    output is identical apart from ``runtime_ms``.
     """
     n_list = tuple(int(n) for n in n_list)
     alphas = tuple(float(a) for a in alphas)
-    _check_study(n_list, reps, alphas)
+    _check_study(n_list, reps, alphas, threads)
     tasks = [
         (weight_kind, n, rep, seed, alphas)
         for n in n_list
         for rep in range(reps)
     ]
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_study_task, tasks, chunksize=8))
+    workers = _study_workers(threads, len(tasks), reps * sum(n_list))
+    if workers > 1:
+        # longest first: a stable sort by decreasing n
+        order = sorted(range(len(tasks)), key=lambda k: -tasks[k][1])
+        outcomes = [None] * len(tasks)
+        context = multiprocessing.get_context(_start_method())
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            done = pool.map(_study_task, [tasks[k] for k in order])
+            for k, outcome in zip(order, done):
+                outcomes[k] = outcome
     else:
         outcomes = [_study_task(t) for t in tasks]
     weights = {a: np.empty((len(n_list), reps)) for a in alphas}

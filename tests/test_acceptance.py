@@ -5,8 +5,8 @@ Each test states a quantitative promise the package makes; run with
     python3 -m pytest tests/test_acceptance.py -v
 
 to get a pass/fail line per criterion.  The heavyweight scaling study is
-shared through a module fixture and takes about 10 s; the whole file
-runs in about a minute on a 2-core VM.
+shared through a module fixture and takes about 6-8 s on two cores; the
+whole file runs in about a minute on a 2-core VM.
 """
 
 from time import perf_counter

@@ -150,6 +150,19 @@ class TestStudyCommands:
 
         assert grab("one.csv") == grab("two.csv")
 
+    def test_threads_leave_the_artifacts_alone(self, tmp_path):
+        # how many processes ran the study is not part of what it produced
+        written = []
+        for k, threads in enumerate(((), ("--threads", "1"), ("--threads", "2"))):
+            fits, svg = tmp_path / f"fits-{k}.json", tmp_path / f"fits-{k}.svg"
+            assert run_cli(
+                "scaling", "--n-list", "48,64,96,128", "--reps", "30",
+                "--slope-tol", "5.0", *threads, "--out-json", fits,
+                "--plot", svg,
+            ) == 0
+            written.append((fits.read_bytes(), svg.read_bytes()))
+        assert written[0] == written[1] == written[2]
+
     def test_scaling_fails_on_impossible_tolerance(self, capsys):
         code = run_cli(
             "scaling", "--kind", "euclidean", "--alpha", "1",
@@ -334,6 +347,13 @@ def test_usage_errors_exit_2_as_a_process(tmp_path):
          alpha),
         (["simulate", "--alpha", "0", "--n", "30", "--out-mst", "m.json"], alpha),
         (["simulate", "--alpha", "nan", "--n", "30", "--out-mst", "m.json"], alpha),
+        # refused before the first point is drawn or the first worker forked
+        (["scaling", "--threads", "0", "--out-csv", "r.csv"],
+         "locmst: threads must be >= 1"),
+        (["variance", "--threads=-5", "--out-json", "v.json"],
+         "locmst: threads must be >= 1"),
+        (["scaling", "--n-list", "2,64,96,128", "--reps", "30",
+          "--out-csv", "r.csv"], "locmst: sizes must be >= 3"),
     ):
         proc = run_process(argv, tmp_path)
         assert proc.returncode == 2, argv

@@ -2,12 +2,16 @@
 
 import hashlib
 import math
+import multiprocessing
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from locmst.experiments import (
+    _POOL_MIN_POINTS,
     EmptyPointSetError,
     StudyResult,
     _event_log10,
@@ -36,6 +40,19 @@ from locmst.weights import (
     shifted_spec,
     spec_from_kind,
 )
+
+
+def assert_same_study(got: StudyResult, want: StudyResult) -> None:
+    """Equal weights and records, apart from the wall-clock runtime_ms."""
+    assert got.weights.keys() == want.weights.keys()
+    for a in want.weights:
+        np.testing.assert_array_equal(got.weights[a], want.weights[a])
+
+    def untimed(study):
+        return [{k: v for k, v in r.items() if k != "runtime_ms"}
+                for r in study.records]
+
+    assert untimed(got) == untimed(want)
 
 
 def centers_of_cells(tiling: Tiling, indices) -> np.ndarray:
@@ -477,19 +494,17 @@ class TestStudiesAndFits:
 
     def test_process_pool_matches_the_serial_study(self):
         # sizes on both sides of the Kruskal / band-solver switch at n = 160;
-        # 16 tasks make two chunks of the pool, so both workers take some
+        # the 16 tasks go out one at a time, largest first, so both workers
+        # take some and their outcomes come back out of task order
         kwargs = dict(n_list=(48, 64, 200, 300), reps=4, alphas=(1.0, 2.0),
                       seed=4)
         serial = run_weight_study("hotspot", **kwargs)
+        method = multiprocessing.get_start_method(allow_none=True)
         pooled = run_weight_study("hotspot", threads=2, **kwargs)
-        for a in (1.0, 2.0):
-            np.testing.assert_array_equal(pooled.weights[a], serial.weights[a])
-
-        def untimed(study):
-            return [{k: v for k, v in r.items() if k != "runtime_ms"}
-                    for r in study.records]
-
-        assert untimed(pooled) == untimed(serial)
+        assert multiprocessing.active_children() == []  # workers joined
+        # the pool's start method is read, never fixed for the process
+        assert multiprocessing.get_start_method(allow_none=True) == method
+        assert_same_study(pooled, serial)
 
     def test_study_records_have_the_full_schema(self):
         study = run_weight_study(
@@ -517,19 +532,25 @@ class TestStudiesAndFits:
         assert (fit.n_list, fit.reps) == (study.n_list, study.reps)
 
     @pytest.mark.parametrize(
-        "n_list, reps, alphas",
-        [((32,), 1, (1.0,)), ((64, 64, 96, 128), 3, (1.0,)),
-         ((32, 48), 3, (0.0,)), ((32, 48), 3, (1.0, -1.0)),
-         ((32, 48), 3, (float("nan"),)), ((32, 48), 3, (1.0, 2.0, 1.0))],
+        "n_list, reps, alphas, threads",
+        [((32,), 1, (1.0,), None), ((64, 64, 96, 128), 3, (1.0,), None),
+         ((32, 48), 3, (0.0,), None), ((32, 48), 3, (1.0, -1.0), None),
+         ((32, 48), 3, (float("nan"),), None),
+         ((32, 48), 3, (1.0, 2.0, 1.0), None),
+         # n = 2 has no tiling; the n = 2000 instances must not be solved first
+         ((2000, 2), 2, (1.0,), None), ((32, 0), 2, (1.0,), None),
+         ((32, 48), 3, (1.0,), 0), ((32, 48), 3, (1.0,), -5),
+         ((32, 48), 3, (1.0,), 2.0)],
     )
-    def test_study_validation(self, monkeypatch, n_list, reps, alphas):
+    def test_study_validation(self, monkeypatch, n_list, reps, alphas, threads):
         # every refusal comes before the first point is drawn
         def no_sampling(*args, **kwargs):
             pytest.fail("sampled a study that should have been refused")
 
         monkeypatch.setattr("locmst.experiments.sample_binomial", no_sampling)
         with pytest.raises(ValueError):
-            run_weight_study("euclidean", n_list, reps=reps, alphas=alphas)
+            run_weight_study("euclidean", n_list, reps=reps, alphas=alphas,
+                             threads=threads)
 
     @pytest.mark.parametrize(
         "quantity, reps, n_list",
@@ -548,3 +569,127 @@ class TestStudiesAndFits:
         study = self._synthetic_study(1.0, scale=0.63)
         with pytest.raises(ValueError, match="alpha=2"):
             fit_study(study, 2.0, "mean")
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor and starts no process: records
+    the pool size and the sizes in dispatch order, and runs the tasks here."""
+
+    def __init__(self, max_workers, mp_context=None):
+        self.workers = max_workers
+        self.dispatched = []
+        self.started.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        for task in tasks:
+            self.dispatched.append(task[1])  # the task's n
+            yield fn(task)
+
+
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        pytest.fail("started a pool for a study that should run serially")
+
+
+class TestStudyWorkers:
+    N_LIST = (48, 150, 200, 300)
+
+    @pytest.fixture
+    def recorder(self, monkeypatch):
+        RecordingPool.started = []
+        monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor",
+                            RecordingPool)
+        return RecordingPool.started
+
+    @pytest.fixture
+    def fork(self, monkeypatch):
+        """Two usable cores and forked workers, whatever this machine has."""
+        monkeypatch.setattr("locmst.experiments._usable_cores", lambda: 2)
+        monkeypatch.setattr("locmst.experiments._start_method", lambda: "fork")
+
+    @pytest.mark.parametrize("kind", ["euclidean", "shifted", "hotspot"])
+    def test_automatic_pool_matches_the_serial_study(self, fork, monkeypatch,
+                                                     kind):
+        # a real pool of two forked workers, above the threshold, with sizes
+        # on both sides of the Kruskal / band-solver switch at n = 160
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("workers cannot be forked here")
+        reps = -(-_POOL_MIN_POINTS // sum(self.N_LIST))
+        kwargs = dict(n_list=self.N_LIST, reps=reps, alphas=(1.0, 2.0), seed=6)
+        serial = run_weight_study(kind, threads=1, **kwargs)
+        sizes = []
+
+        def counted(max_workers, **kw):
+            sizes.append(max_workers)
+            return ProcessPoolExecutor(max_workers, **kw)
+
+        monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor", counted)
+        auto = run_weight_study(kind, **kwargs)
+        assert sizes == [2]
+        assert multiprocessing.active_children() == []  # workers joined
+        assert_same_study(auto, serial)
+
+    def test_largest_instances_go_out_first(self, recorder, fork):
+        study = run_weight_study("euclidean", (24, 64, 32), 3, (1.0,),
+                                 threads=2)
+        [pool] = recorder
+        assert pool.dispatched == [64] * 3 + [32] * 3 + [24] * 3
+        # folded in task order all the same
+        ns = [(r["n"], r["replicate"]) for r in study.records]
+        assert ns == [(n, rep) for n in (24, 64, 32) for rep in range(3)]
+        assert_same_study(
+            study, run_weight_study("euclidean", (24, 64, 32), 3, (1.0,),
+                                    threads=1))
+
+    def test_pool_is_capped_at_the_task_count(self, recorder, fork,
+                                              monkeypatch):
+        run_weight_study("euclidean", (16, 24), 2, (1.0,), threads=1000)
+        monkeypatch.setattr("locmst.experiments._usable_cores", lambda: 64)
+        run_weight_study("euclidean", (_POOL_MIN_POINTS // 2,), 2, (1.0,))
+        assert [pool.workers for pool in recorder] == [4, 2]
+
+    def test_threshold_is_where_the_pool_starts(self, recorder, fork):
+        # exactly _POOL_MIN_POINTS points: n = 3 and one size that fills it
+        n_list = (3, _POOL_MIN_POINTS // 2 - 3)
+        run_weight_study("euclidean", n_list, 2, (1.0,))
+        assert [pool.workers for pool in recorder] == [2]
+
+    @pytest.mark.parametrize("threads, n_list", [
+        (None, (3, _POOL_MIN_POINTS // 2 - 4)),  # two points short
+        (None, (64,)),  # the benchmark's warm-up study
+        (1, (3, _POOL_MIN_POINTS // 2 - 3)),
+    ])
+    def test_small_or_serial_studies_start_no_pool(self, fork, monkeypatch,
+                                                   threads, n_list):
+        monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor", NoPool)
+        study = run_weight_study("euclidean", n_list, 2, (1.0,),
+                                 threads=threads)
+        assert len(study.records) == 2 * len(n_list)
+
+    def test_automatic_path_does_not_fork_a_threaded_process(self, fork,
+                                                             monkeypatch):
+        monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor", NoPool)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            run_weight_study("euclidean", (3, _POOL_MIN_POINTS // 2 - 3), 2,
+                             (1.0,))
+        finally:
+            release.set()
+            other.join(60)
+        assert not other.is_alive()
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_automatic_path_forks_or_stays_serial(self, monkeypatch, method):
+        # a spawned worker would import numpy, scipy and locmst afresh
+        monkeypatch.setattr("locmst.experiments._usable_cores", lambda: 2)
+        monkeypatch.setattr("locmst.experiments._start_method", lambda: method)
+        monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor", NoPool)
+        run_weight_study("euclidean", (3, _POOL_MIN_POINTS // 2 - 3), 2, (1.0,))
