@@ -158,7 +158,8 @@ def _golden(f, a: float, b: float, maximize: bool):
 
 def _optimize(f, maximize: bool) -> tuple[float, float]:
     grid = np.exp(np.linspace(math.log(_GRID_LO), math.log(_GRID_HI), _GRID_N))
-    vals = np.array([f(a) for a in grid])
+    # Python floats, as in _golden: a power that overflows raises
+    vals = np.array([f(a) for a in grid.tolist()])
     idx = int(np.argmax(vals) if maximize else np.argmin(vals))
     lo = grid[max(idx - 1, 0)]
     hi = grid[min(idx + 1, len(grid) - 1)]
@@ -207,14 +208,17 @@ def compute_bounds(
     c1: float = 1.0,
     c2: float = 1.0,
 ) -> BoundsResult:
-    if not alpha > 0:  # NaN too
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # NaN too
+        raise ValueError("alpha must be positive and finite")
     if not 0 < eps1 <= eps2:
         raise ValueError("need 0 < eps1 <= eps2")
     if not 0 < c1 <= c2:
         raise ValueError("need 0 < c1 <= c2")
-    a_lo, v_lo = beta_low(alpha, eps1, eps2)
-    a_up, v_up = beta_up(alpha, eps1, eps2)
+    try:
+        a_lo, v_lo = beta_low(alpha, eps1, eps2)
+        a_up, v_up = beta_up(alpha, eps1, eps2)
+    except (OverflowError, ZeroDivisionError):  # from about alpha = 50 on
+        raise ValueError(f"alpha={alpha:g} is beyond the float range") from None
     return BoundsResult(
         alpha=alpha, eps1=eps1, eps2=eps2, c1=c1, c2=c2,
         beta_low=v_lo, A_low=a_lo, beta_up=v_up, A_up=a_up,

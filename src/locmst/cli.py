@@ -7,6 +7,7 @@ witness is printed), 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 
@@ -115,8 +116,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not args.alpha > 0:  # NaN too; refused before any point is drawn
-        raise ValueError("alpha must be positive")
+    if not 0 < args.alpha < math.inf:  # NaN too; refused before any point is drawn
+        raise ValueError("alpha must be positive and finite")
     spec = spec_from_kind(args.kind)
     density = Density.uniform()
     if args.process == "binomial":
@@ -271,8 +272,8 @@ def cmd_probe(args) -> int:
 
 def cmd_invariance(args) -> int:
     # refused before sampling: with no instance nothing else checks alpha
-    if not all(a > 0 for a in args.alpha):  # NaN too
-        raise ValueError("alpha must be positive")
+    if not all(0 < a < math.inf for a in args.alpha):  # NaN too
+        raise ValueError("alpha must be positive and finite")
     if args.instances < 1:
         raise ValueError("instances must be >= 1")
     if args.n < 2:  # a tree with no edge has nothing to keep stable

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bounds import compute_bounds
 from .geometry import (
@@ -337,6 +336,7 @@ def _detect_event(layout: HotspotLayout, level: int, coords: np.ndarray):
 def _event_log10(layout: HotspotLayout, level: int, n: int) -> float:
     """log10 of the exact probability that n i.i.d. uniform points
     realize the event: a multinomial over (cell_1, ..., cell_m, outside)."""
+    from scipy.special import gammaln  # not at import: ~0.2 s and ~26 MB
     lv = layout.level(level)
     m = len(lv.cells)
     log_p = float(gammaln(n + 1) - gammaln(n - m + 1))
@@ -497,8 +497,8 @@ def good_square_probe(
     alphas = tuple(float(a) for a in (alpha if np.iterable(alpha) else (alpha,)))
     if not alphas:
         raise ValueError("need at least one alpha")
-    if not all(a > 0 for a in alphas):  # NaN too
-        raise ValueError("alpha must be positive")
+    if not all(0 < a < math.inf for a in alphas):  # NaN too
+        raise ValueError("alpha must be positive and finite")
     s = max(30 * g + 11, math.isqrt(n - 1) + 1)
     spec = euclidean_spec()
     side = 1.0 / s
@@ -649,8 +649,8 @@ def _check_study(n_list, reps: int, alphas, threads=None) -> None:
         raise ValueError(f"repeated size in {list(n_list)}")
     if len(set(alphas)) < len(alphas):
         raise ValueError(f"repeated alpha in {list(alphas)}")
-    if not all(a > 0 for a in alphas):
-        raise ValueError("alpha must be positive")
+    if not all(0 < a < math.inf for a in alphas):  # NaN too
+        raise ValueError("alpha must be positive and finite")
     if threads is not None and (not isinstance(threads, int) or threads < 1):
         raise ValueError("threads must be >= 1")
 
@@ -684,7 +684,7 @@ def _study_workers(threads: int | None, tasks: int, points: int) -> int:
 
     threads=None picks one worker per usable core, but only for a study
     of at least _POOL_MIN_POINTS points and only where workers are
-    forked: spawned ones would import numpy, scipy and locmst afresh.  A
+    forked: spawned ones would import numpy and locmst afresh.  A
     process that runs other threads is not forked, since a lock one of
     them holds would stay locked in the worker.
     """

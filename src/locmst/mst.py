@@ -283,8 +283,8 @@ def mst_kruskal(spec: WeightSpec, coords: np.ndarray) -> MstResult:
         return _sorted_result(n)
     ii, jj = _pairs(n)
     ww = row_weight_fn(spec, coords)(ii, jj)
-    k = _kruskal(n, ii, jj, _kappa_order(ii, jj, ww))
-    return _sorted_result(n, ii[k], jj[k], ww[k])
+    k = _kruskal(n, ii, jj, _kappa_order(ii, jj, ww))  # picks in kappa order
+    return MstResult(n, ii[k], jj[k], ww[k])
 
 
 def _spread_bits(v: np.ndarray) -> np.ndarray:
@@ -743,14 +743,14 @@ def alpha_invariance_check(
     fails only when the h-tree's sorted w differ from that tree's: the
     h-tree is then not a minimum tree under h**alpha.
 
-    The paper's claim needs alpha > 0: an empty list, or an alpha that is
-    not > 0 (NaN included), raises ValueError.
+    The paper's claim needs a finite alpha > 0: an empty list, or an alpha
+    that is not (NaN and inf included), raises ValueError.
     """
     alphas = tuple(alphas)
     if not alphas:
         raise ValueError("need at least one alpha")
-    if not all(a > 0 for a in alphas):
-        raise ValueError(f"alpha must be positive, got {list(alphas)}")
+    if not all(0 < a < math.inf for a in alphas):
+        raise ValueError(f"alpha must be positive and finite, got {list(alphas)}")
     coords = _validate_coords(coords)
     n = len(coords)
     if n < 2:

@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import zeta
 
 from .geometry import Rect
 
@@ -85,7 +84,7 @@ class HotspotLayout:
 
 def level_scale_constant(K: int) -> int:
     """Smallest integer D with 10*(2K-1)*zeta(3/2)/sqrt(D) <= 1."""
-    return math.ceil((10.0 * (2 * K - 1) * float(zeta(1.5))) ** 2)
+    return math.ceil((10.0 * (2 * K - 1) * 2.612375348685488) ** 2)  # zeta(3/2)
 
 
 @lru_cache(maxsize=None)

@@ -178,3 +178,15 @@ class TestComputeBounds:
             compute_bounds(1.0, -0.5, 1.0)
         with pytest.raises(ValueError):
             compute_bounds(1.0, 2.0, 1.0)  # eps1 > eps2
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_refuses_alpha_not_finite(self, alpha):
+        with pytest.raises(ValueError, match="positive and finite"):
+            compute_bounds(alpha)
+
+    @pytest.mark.parametrize("alpha", [60.0, 100.0, 100.5, 200.0, 400.0])
+    def test_refuses_alpha_beyond_the_float_range(self, alpha):
+        # an underflow to zero, an integer too large for a float and a
+        # float power that overflows; none may escape as a bare traceback
+        with pytest.raises(ValueError, match="beyond the float range"):
+            compute_bounds(alpha)

@@ -331,11 +331,18 @@ def test_usage_errors_exit_2_as_a_process(tmp_path):
     alpha = "locmst: alpha must be positive"
     for argv, message in (
         (["bounds", "--alpha", "0"], alpha),
-        # the paper's claims need alpha > 0; NaN is refused too
+        # the paper's claims need alpha > 0; NaN and inf are refused too
         (["bounds", "--alpha", "nan", "--out", "b.json"], alpha),
+        (["bounds", "--alpha", "inf", "--out", "b.json"], alpha),
+        # a finite alpha whose constants leave the float range, at three
+        # different operations
+        (["bounds", "--alpha", "100"], "locmst: alpha=100 is beyond the float range"),
+        (["bounds", "--alpha", "200"], "locmst: alpha=200 is beyond the float range"),
+        (["bounds", "--alpha", "400"], "locmst: alpha=400 is beyond the float range"),
         (["invariance", "--alpha=-1,1", "--n", "20", "--instances", "2"], alpha),
         (["invariance", "--alpha=-1", "--n", "20", "--instances", "2"], alpha),
         (["invariance", "--alpha=nan", "--n", "20", "--instances", "2"], alpha),
+        (["invariance", "--alpha=1,inf", "--n", "20", "--instances", "2"], alpha),
         # refused even when there is no instance to check
         (["invariance", "--alpha=-1", "--instances", "0"], alpha),
         (["invariance", "--instances", "0"], "locmst: instances must be >= 1"),
@@ -345,8 +352,13 @@ def test_usage_errors_exit_2_as_a_process(tmp_path):
          alpha),
         (["probe-good-square", "--alpha=nan", "--n", "200", "--out", "p.json"],
          alpha),
+        (["probe-good-square", "--alpha=inf", "--n", "200", "--out", "p.json"],
+         alpha),
         (["simulate", "--alpha", "0", "--n", "30", "--out-mst", "m.json"], alpha),
         (["simulate", "--alpha", "nan", "--n", "30", "--out-mst", "m.json"], alpha),
+        (["simulate", "--alpha", "inf", "--n", "30", "--out-mst", "m.json"], alpha),
+        (["scaling", "--n-list", "16,24,32,48", "--reps", "30", "--alpha", "inf",
+          "--out-csv", "r.csv"], alpha),
         # refused before the first point is drawn or the first worker forked
         (["scaling", "--threads", "0", "--out-csv", "r.csv"],
          "locmst: threads must be >= 1"),

@@ -431,6 +431,8 @@ class TestGoodSquareProbe:
         # an empty alpha list would check no increment and report ok
         with pytest.raises(ValueError, match="need at least one alpha"):
             good_square_probe(5, n=200, alpha=())
+        with pytest.raises(ValueError, match="positive and finite"):
+            good_square_probe(5, n=200, alpha=(1.0, math.inf))
 
 
 class TestStudiesAndFits:
@@ -540,7 +542,7 @@ class TestStudiesAndFits:
          # n = 2 has no tiling; the n = 2000 instances must not be solved first
          ((2000, 2), 2, (1.0,), None), ((32, 0), 2, (1.0,), None),
          ((32, 48), 3, (1.0,), 0), ((32, 48), 3, (1.0,), -5),
-         ((32, 48), 3, (1.0,), 2.0)],
+         ((32, 48), 3, (1.0,), 2.0), ((32, 48), 3, (1.0, math.inf), None)],
     )
     def test_study_validation(self, monkeypatch, n_list, reps, alphas, threads):
         # every refusal comes before the first point is drawn
@@ -688,7 +690,7 @@ class TestStudyWorkers:
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_automatic_path_forks_or_stays_serial(self, monkeypatch, method):
-        # a spawned worker would import numpy, scipy and locmst afresh
+        # a spawned worker would import numpy and locmst afresh
         monkeypatch.setattr("locmst.experiments._usable_cores", lambda: 2)
         monkeypatch.setattr("locmst.experiments._start_method", lambda: method)
         monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor", NoPool)

@@ -917,7 +917,8 @@ def test_alpha_invariance_catches_a_moved_tree():
         assert not alpha_invariance_check(spec, pts, (1.0, NonMonotone(1.0), 2.0))
 
 
-@pytest.mark.parametrize("alphas", [(), (0.0,), (-1.0, 1.0), (1.0, math.nan)])
+@pytest.mark.parametrize(
+    "alphas", [(), (0.0,), (-1.0, 1.0), (1.0, math.nan), (2.0, math.inf)])
 def test_alpha_invariance_refuses_alpha_not_positive(alphas):
     pts = np.random.default_rng(0).random((10, 2))
     with pytest.raises(ValueError, match="alpha"):

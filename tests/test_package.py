@@ -1,6 +1,13 @@
-"""The package's export list."""
+"""The package's export list and import path."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import locmst
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_export_list_matches_the_imports():
@@ -19,3 +26,23 @@ def test_export_list_matches_the_imports():
         and getattr(value, "__module__", "").startswith("locmst.")
     }
     assert imported == set(names)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.special costs a process about 0.2 s and 26 MB; only prop1's
+    # exact event probability needs it, and loads it on first use
+    code = "\n".join((
+        "import sys",
+        "import locmst.cli",
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "from locmst.experiments import prop1_demo",
+        "print(repr(prop1_demo(2, reps=1, mode='planted').event_log10))",
+    ))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == -422.2991435319093  # pinned in test_experiments

@@ -74,6 +74,16 @@ class TestHotspotLayout:
         assert level_scale_constant(2) == 6143
         assert level_scale_constant(3) == 17062
 
+    def test_level_scale_constant_pins_scipy_zeta(self):
+        # the layout writes zeta(3/2) as a literal, so that importing
+        # locmst does not load scipy; it must be the float scipy returns
+        from scipy.special import zeta
+
+        z = float(zeta(1.5))
+        assert z == 2.612375348685488
+        for K in range(2, 13):
+            assert level_scale_constant(K) == math.ceil((10.0 * (2 * K - 1) * z) ** 2)
+
     def test_level_sizes_and_cell_counts(self):
         for K in (2, 3):
             layout = build_hotspot_layout(K, n_levels=3)
