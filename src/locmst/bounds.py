@@ -106,6 +106,15 @@ def geometric_moment_upper_bound(r: float, theta: float) -> float:
     return math.gamma(r + 1.0) / p**r
 
 
+def _check_alphas(alphas) -> None:
+    """Refuse an alpha that is not positive and finite, NaN included: the
+    paper's claims need 0 < alpha < inf.  Every entry point runs this on
+    its whole alpha list before any work."""
+    for a in alphas:
+        if not 0 < a < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {a:g}")
+
+
 def delta_for(alpha: float, eps1: float, eps2: float) -> float:
     return eps1 if alpha <= 1.0 else eps2
 
@@ -208,8 +217,7 @@ def compute_bounds(
     c1: float = 1.0,
     c2: float = 1.0,
 ) -> BoundsResult:
-    if not 0 < alpha < math.inf:  # NaN too
-        raise ValueError("alpha must be positive and finite")
+    _check_alphas((alpha,))
     if not 0 < eps1 <= eps2:
         raise ValueError("need 0 < eps1 <= eps2")
     if not 0 < c1 <= c2:

@@ -7,13 +7,12 @@ witness is printed), 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from .bounds import compute_bounds
+from .bounds import _check_alphas, compute_bounds
 from .experiments import (
     _check_fittable,
     _check_study,
@@ -54,14 +53,25 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+# compute_bounds takes 6-9 s at each non-integer alpha, so a grid this
+# long already runs for 10-15 minutes
+_ALPHA_GRID_MAX = 100
+
+
 def _alpha_grid(text: str) -> tuple[float, ...]:
     try:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi:step, got {text!r}")
-    if step <= 0 or hi < lo:
+    if not (step > 0 and lo <= hi):  # NaN too
         raise argparse.ArgumentTypeError("need lo <= hi and step > 0")
-    return tuple(np.arange(lo, hi + step / 2, step).tolist())
+    stop = hi + step / 2
+    # np.arange's length, counted before anything is allocated
+    if not (stop - lo) / step <= _ALPHA_GRID_MAX:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has more than {_ALPHA_GRID_MAX} alphas"
+        )
+    return tuple(np.arange(lo, stop, step).tolist())
 
 
 def _config(args, command: str) -> dict:
@@ -84,6 +94,7 @@ def cmd_bounds(args) -> int:
         alphas.extend(args.alpha_grid)
     if not alphas:
         alphas = [1.0]
+    _check_alphas(alphas)  # each constant takes seconds: refuse before the first
     if args.plot and len(alphas) < 2:
         print("locmst: --plot needs an alpha grid", file=sys.stderr)
         return 2
@@ -116,8 +127,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not 0 < args.alpha < math.inf:  # NaN too; refused before any point is drawn
-        raise ValueError("alpha must be positive and finite")
+    _check_alphas((args.alpha,))  # before any point is drawn
     spec = spec_from_kind(args.kind)
     density = Density.uniform()
     if args.process == "binomial":
@@ -272,8 +282,7 @@ def cmd_probe(args) -> int:
 
 def cmd_invariance(args) -> int:
     # refused before sampling: with no instance nothing else checks alpha
-    if not all(0 < a < math.inf for a in args.alpha):  # NaN too
-        raise ValueError("alpha must be positive and finite")
+    _check_alphas(args.alpha)
     if args.instances < 1:
         raise ValueError("instances must be >= 1")
     if args.n < 2:  # a tree with no edge has nothing to keep stable

@@ -22,17 +22,16 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .bounds import compute_bounds
+from .bounds import _check_alphas, compute_bounds
 from .geometry import (
     Rect,
     Tiling,
+    _snake_cell,
     build_tiling,
     cells_of,
-    occupancy_grid,
     occupied_cells,
 )
 from .sampling import (
@@ -49,7 +48,7 @@ from .weights import (
     row_weight_fn,
     spec_from_kind,
 )
-from .mst import minimum_spanning_tree, mst_with_point
+from .mst import _power_sum, minimum_spanning_tree, mst_with_point
 
 
 class EmptyPointSetError(ValueError):
@@ -74,18 +73,19 @@ class GapStat:
     gaps: tuple[int, ...]
 
     def s_alpha(self, alpha: float) -> float:
-        positive = map(float, filter(None, self.gaps))  # gaps are >= 0
-        return math.fsum(map(pow, positive, repeat(alpha)))
+        return _power_sum(map(float, filter(None, self.gaps)), alpha)  # gaps >= 0
+
+
+def _gap_stat(s: int, occ: np.ndarray) -> GapStat:
+    """The gaps between sorted unique occupied snake indices."""
+    if len(occ) == 0:
+        return GapStat(s=s, occupied=(), gaps=(s * s - 1,))
+    gaps = (int(occ[0]) - 1, *(occ[1:] - occ[:-1]).tolist(), s * s - int(occ[-1]))
+    return GapStat(s=s, occupied=tuple(occ.tolist()), gaps=gaps)
 
 
 def gap_stat(tiling: Tiling, coords: np.ndarray) -> GapStat:
-    s = tiling.s
-    coords = np.asarray(coords, dtype=float)
-    if len(coords) == 0:
-        return GapStat(s=s, occupied=(), gaps=(s * s - 1,))
-    occ = occupied_cells(tiling, coords)
-    gaps = (int(occ[0]) - 1, *(occ[1:] - occ[:-1]).tolist(), s * s - int(occ[-1]))
-    return GapStat(s=s, occupied=tuple(occ.tolist()), gaps=gaps)
+    return _gap_stat(tiling.s, occupied_cells(tiling, coords))
 
 
 def gap_stat_monotonicity(
@@ -97,9 +97,10 @@ def gap_stat_monotonicity(
     Returns (verdict, before, after).
     """
     coords = np.asarray(coords, dtype=float).reshape(-1, 2)
-    before = gap_stat(tiling, coords).s_alpha(alpha)
     added = np.vstack([coords, np.asarray(extra, dtype=float).reshape(1, 2)])
-    after = gap_stat(tiling, added).s_alpha(alpha)
+    cells = cells_of(tiling, added)  # the added point's cell comes last
+    before = _gap_stat(tiling.s, np.unique(cells[:-1])).s_alpha(alpha)
+    after = _gap_stat(tiling.s, np.unique(cells)).s_alpha(alpha)
     tol = 1e-9 * max(1.0, before)
     if alpha <= 1.0:
         return after >= before - tol, before, after
@@ -115,10 +116,14 @@ def isolated_cell_count(tiling: Tiling, coords: np.ndarray) -> int:
 
     Cells on the grid boundary just use the neighbours they have.
     """
-    s = tiling.s
+    return _isolated_count(tiling.s, occupied_cells(tiling, coords))
+
+
+def _isolated_count(s: int, occ: np.ndarray) -> int:
+    """`isolated_cell_count` from the occupied snake indices."""
     padded = np.zeros((s + 2, s + 2), dtype=np.uint8)
     grid = padded[1:-1, 1:-1]
-    grid[...] = occupancy_grid(tiling, coords)
+    grid[_snake_cell(s, occ)] = 1
     strip = padded[:-2] + padded[1:-1] + padded[2:]
     block = strip[:, :-2] + strip[:, 1:-1] + strip[:, 2:]  # occupied in 3 x 3
     return int(np.count_nonzero(grid & (block == 1)))  # alone in its block
@@ -149,10 +154,8 @@ def lower_bound_stat(
         raise ValueError("need zero or at least two points")
     if len(coords) == 0:
         return LowerBoundReport(g_count=0, bound=0.0, mst_weight=0.0, holds=True)
-    if len(occupied_cells(tiling, coords)) < 2:
-        g = 0
-    else:
-        g = isolated_cell_count(tiling, coords)
+    occ = occupied_cells(tiling, coords)
+    g = _isolated_count(tiling.s, occ) if len(occ) >= 2 else 0
     bound = 0.5 * (spec.c1 * tiling.cell_side) ** alpha * g
     w = minimum_spanning_tree(spec, coords).total_weight(alpha)
     return LowerBoundReport(
@@ -192,9 +195,8 @@ def tiled_upper_bound(
     a = np.concatenate([reps[np.cumsum(first) - 1][~first], reps[:-1]])
     b = np.concatenate([order[~first], reps[1:]])
     # math.fsum is exactly rounded, so the edge order does not matter
-    tree_w = row_weight_fn(spec, coords)(a, b).tolist()
-    w_uni = math.fsum(map(pow, tree_w, repeat(alpha)))
-    s_alpha = gap_stat(tiling, coords).s_alpha(alpha)
+    w_uni = _power_sum(row_weight_fn(spec, coords)(a, b).tolist(), alpha)
+    s_alpha = _gap_stat(tiling.s, cell[first]).s_alpha(alpha)
     rhs = (2.0 * spec.c2 * tiling.cell_side) ** alpha * (n + s_alpha)
     w = minimum_spanning_tree(spec, coords).total_weight(alpha)
     holds = w <= w_uni + 1e-12 and w_uni <= rhs + 1e-12
@@ -240,9 +242,7 @@ def one_node_difference(
     f1 = spec.c2**alpha * float(d_all.min()) ** alpha
     nbrs = np.concatenate([full.edge_j[full.edge_i == j],
                            full.edge_i[full.edge_j == j]])
-    f2 = (2.0 * spec.c2) ** alpha * math.fsum(
-        map(pow, d_all[nbrs].tolist(), repeat(alpha))
-    )
+    f2 = (2.0 * spec.c2) ** alpha * _power_sum(d_all[nbrs].tolist(), alpha)
     return OneNodeReport(delta=delta, f1=f1, f2=f2,
                          holds=delta <= f1 + f2 + 1e-12)
 
@@ -271,7 +271,7 @@ def merge_bound_check(
         return MergeReport(merged=base, bound=base, holds=True)
     diff = coords2[:, None, :] - coords1[None, :, :]
     nearest = np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
-    bound = base + spec.c2**alpha * math.fsum(float(d) ** alpha for d in nearest)
+    bound = base + spec.c2**alpha * _power_sum(nearest.tolist(), alpha)
     merged = minimum_spanning_tree(
         spec, np.vstack([coords1, coords2])
     ).total_weight(alpha)
@@ -497,8 +497,7 @@ def good_square_probe(
     alphas = tuple(float(a) for a in (alpha if np.iterable(alpha) else (alpha,)))
     if not alphas:
         raise ValueError("need at least one alpha")
-    if not all(0 < a < math.inf for a in alphas):  # NaN too
-        raise ValueError("alpha must be positive and finite")
+    _check_alphas(alphas)
     s = max(30 * g + 11, math.isqrt(n - 1) + 1)
     spec = euclidean_spec()
     side = 1.0 / s
@@ -631,8 +630,9 @@ def _study_task(args) -> tuple:
     coords = sample_binomial(n, Density.uniform(), seed, key=(n, rep)).coords
     tiling = build_tiling(n)
     result = minimum_spanning_tree(spec_from_kind(kind), coords)
-    gs = gap_stat(tiling, coords)
-    g_count = isolated_cell_count(tiling, coords)
+    occ = occupied_cells(tiling, coords)
+    gs = _gap_stat(tiling.s, occ)
+    g_count = _isolated_count(tiling.s, occ)
     totals = {a: result.total_weight(a) for a in alphas}
     s_alphas = {a: gs.s_alpha(a) for a in alphas}
     runtime_ms = (time.perf_counter() - t0) * 1e3
@@ -649,8 +649,7 @@ def _check_study(n_list, reps: int, alphas, threads=None) -> None:
         raise ValueError(f"repeated size in {list(n_list)}")
     if len(set(alphas)) < len(alphas):
         raise ValueError(f"repeated alpha in {list(alphas)}")
-    if not all(0 < a < math.inf for a in alphas):  # NaN too
-        raise ValueError("alpha must be positive and finite")
+    _check_alphas(alphas)
     if threads is not None and (not isinstance(threads, int) or threads < 1):
         raise ValueError("threads must be >= 1")
 
@@ -724,6 +723,7 @@ def run_weight_study(
     n_list = tuple(int(n) for n in n_list)
     alphas = tuple(float(a) for a in alphas)
     _check_study(n_list, reps, alphas, threads)
+    spec_from_kind(weight_kind)  # refuses an unknown kind before any draw
     tasks = [
         (weight_kind, n, rep, seed, alphas)
         for n in n_list

@@ -121,15 +121,21 @@ def _nearest_admissible_n(n: int, a_target: float) -> int | None:
     return None
 
 
-def snake_index(s: int, col: int, row: int) -> int:
+def snake_index(s: int, col, row):
     """1-based snake index of the cell at 0-based (col, row-from-top).
 
     Even columns (0-based) run top to bottom, odd columns bottom to top, so
-    consecutive indices always share an edge.
+    consecutive indices always share an edge.  Ints give an int; integer
+    arrays give an array, elementwise.
     """
-    if col % 2 == 0:
-        return col * s + row + 1
-    return col * s + (s - 1 - row) + 1
+    return col * s + row + 1 + (col & 1) * (s - 1 - 2 * row)
+
+
+def _snake_cell(s: int, index):
+    """(col, row-from-top) of a 1-based snake index; the inverse of
+    `snake_index`, elementwise over integer arrays."""
+    col, k = divmod(index - 1, s)
+    return col, k + (col & 1) * (s - 1 - 2 * k)
 
 
 def snake_order(s: int) -> np.ndarray:
@@ -138,59 +144,42 @@ def snake_order(s: int) -> np.ndarray:
     Returns an (s*s, 2) int array; position k holds the cell with snake
     index k+1.
     """
-    rows = np.tile(np.arange(s, dtype=np.int64), (s, 1))
-    rows[1::2] = rows[1::2, ::-1]  # odd columns run bottom to top
-    cols = np.repeat(np.arange(s, dtype=np.int64), s)
-    return np.stack([cols, rows.ravel()], axis=1)
+    return np.stack(_snake_cell(s, np.arange(1, s * s + 1, dtype=np.int64)), axis=1)
 
 
 def cell_of(tiling: Tiling, x: float, y: float) -> int:
-    """Snake index (1-based) of the cell containing (x, y).
-
-    Points on a shared cell boundary belong to the neighbouring cell with
-    the larger snake index.
-    """
-    s = tiling.s
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"point ({x}, {y}) outside the unit square")
-    cols = _axis_candidates(x, s)
-    # Row from top; y on a horizontal boundary yields two candidate rows.
-    rows = [s - 1 - b for b in _axis_candidates(y, s)]
-    return max(snake_index(s, c, r) for c in cols for r in rows)
-
-
-def _axis_candidates(t: float, s: int) -> list[int]:
-    v = t * s
-    k = int(math.floor(v))
-    if k >= s:  # t == 1.0
-        return [s - 1]
-    if v == k and k > 0:
-        return [k - 1, k]
-    return [k]
+    """Snake index (1-based) of the cell containing (x, y); `cells_of` on
+    one point."""
+    return int(cells_of(tiling, np.array([[x, y]], dtype=float))[0])
 
 
 def cells_of(tiling: Tiling, coords: np.ndarray) -> np.ndarray:
-    """Vectorized `cell_of` for an (n, 2) coordinate array.
+    """Snake index (1-based) of the cell holding each row of an (n, 2)
+    coordinate array.
 
-    The fast path assigns points with floor(); the rare points with a
-    coordinate on a shared cell boundary or at 1.0 are re-routed through
-    the scalar rule.
+    Cells are half-open, [x0, x1) x [y0, y1), so floor() places most
+    points.  A point on a shared side belongs to the neighbouring cell
+    with the larger snake index: on an inner vertical line that is the
+    right-hand column, and on an inner horizontal line the lower row in
+    even columns and the upper row in odd ones.  A coordinate of 1.0
+    goes to the last row or column.
     """
     coords = np.asarray(coords, dtype=float)
     # one range test for all points; NaN fails it too
     if not (coords.min(initial=0.0) >= 0.0 and coords.max(initial=1.0) <= 1.0):
         k = np.flatnonzero(~((coords >= 0.0) & (coords <= 1.0)).all(axis=1))[0]
-        cell_of(tiling, coords[k, 0], coords[k, 1])  # raises its ValueError
+        x, y = coords[k]
+        raise ValueError(f"point ({x}, {y}) outside the unit square")
     s = tiling.s
     v = coords * s
     f = np.floor(v)
     col, up = f.astype(np.int64).T  # column, and row counted from the bottom
-    idx = col * s + np.where(col & 1, up + 1, s - up)
     exact = v == f
-    if exact.any():
-        for k in np.flatnonzero((exact & (v > 0)).any(axis=1)):
-            idx[k] = cell_of(tiling, coords[k, 0], coords[k, 1])
-    return idx
+    if exact.any():  # on a grid line: floor() already took the right column
+        col = np.minimum(col, s - 1)
+        lower = exact[:, 1] & (up > 0) & (col % 2 == 0)
+        up = np.minimum(up - lower, s - 1)
+    return snake_index(s, col, s - 1 - up)
 
 
 def cell_rect(tiling: Tiling, index: int) -> Rect:
@@ -198,7 +187,7 @@ def cell_rect(tiling: Tiling, index: int) -> Rect:
     s = tiling.s
     if not 1 <= index <= s * s:
         raise ValueError(f"cell index {index} out of range for s={s}")
-    col, row = snake_order(s)[index - 1]
+    col, row = _snake_cell(s, index)
     side = tiling.cell_side
     x0 = col * side
     y0 = (s - 1 - row) * side
@@ -209,10 +198,7 @@ def occupancy_grid(tiling: Tiling, coords: np.ndarray) -> np.ndarray:
     """Boolean (s, s) array indexed [col, row-from-top], True where occupied."""
     s = tiling.s
     grid = np.zeros((s, s), dtype=bool)
-    if len(coords):
-        # snake position k is column k // s; odd columns run bottom to top
-        col, k = np.divmod(cells_of(tiling, coords) - 1, s)
-        grid[col, np.where(col & 1, s - 1 - k, k)] = True
+    grid[_snake_cell(s, occupied_cells(tiling, coords))] = True
     return grid
 
 

@@ -70,6 +70,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .bounds import _check_alphas
 from .weights import WeightSpec, in_central_cells, row_weight_fn
 
 BRUTE_FORCE_MAX_N = 8
@@ -148,6 +149,16 @@ def _validate_coords(coords) -> np.ndarray:
     return coords
 
 
+def _power_sum(values, alpha: float) -> float:
+    """The exactly rounded sum of v**alpha over Python floats.
+
+    Every score is priced here: Python's pow, not np.power, whose SIMD
+    loops may round differently, and math.fsum, whose result does not
+    depend on the order of the terms.
+    """
+    return math.fsum(map(pow, values, repeat(alpha)))
+
+
 @dataclass(frozen=True)
 class MstResult:
     """A spanning tree with kappa-sorted edge arrays."""
@@ -158,8 +169,7 @@ class MstResult:
     base_weights: np.ndarray
 
     def total_weight(self, alpha: float) -> float:
-        # Python's pow, not np.power, whose SIMD loops may round differently
-        return math.fsum(map(pow, self.base_weights.tolist(), repeat(alpha)))
+        return _power_sum(self.base_weights.tolist(), alpha)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -749,8 +759,7 @@ def alpha_invariance_check(
     alphas = tuple(alphas)
     if not alphas:
         raise ValueError("need at least one alpha")
-    if not all(0 < a < math.inf for a in alphas):
-        raise ValueError(f"alpha must be positive and finite, got {list(alphas)}")
+    _check_alphas(alphas)
     coords = _validate_coords(coords)
     n = len(coords)
     if n < 2:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from locmst.bounds import BoundsResult
 from locmst.cli import main
 from locmst.sampling import PointSet
 
@@ -62,6 +63,45 @@ class TestBoundsCommand:
     def test_invalid_alpha_is_a_usage_error(self, capsys):
         assert run_cli("bounds", "--alpha", "0") == 2
         assert "locmst:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("--alpha", "0.5", "--alpha", "-1"),
+        ("--alpha", "2", "--alpha-grid", "0.5:1.5:0.5", "--alpha", "nan"),
+        ("--alpha-grid", "0.5:1.5:0.5", "--alpha", "inf", "--out", "b.json"),
+    ])
+    def test_every_alpha_is_checked_before_the_first_constant(
+        self, monkeypatch, capsys, argv
+    ):
+        # a non-integer constant takes seconds: a bad alpha later in the
+        # list must not wait for the ones before it
+        def no_bounds(*args, **kwargs):
+            pytest.fail("computed a constant for a refused alpha list")
+
+        monkeypatch.setattr("locmst.cli.compute_bounds", no_bounds)
+        assert run_cli("bounds", *argv) == 2
+        assert "locmst: alpha must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0.5:100000:1", "1:1e9:1", "0:inf:1",
+                                      "0:100:1", "nan:1:0.5", "1:2:nan"])
+    def test_alpha_grid_is_bounded_at_parse_time(self, monkeypatch, grid):
+        # counted before np.arange allocates it; 101 alphas are one too many
+        def no_bounds(*args, **kwargs):
+            pytest.fail("computed a constant for a refused grid")
+
+        monkeypatch.setattr("locmst.cli.compute_bounds", no_bounds)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bounds", "--alpha-grid", grid)
+        assert exc.value.code == 2
+
+    def test_alpha_grid_at_the_cap_is_accepted(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "locmst.cli.compute_bounds",
+            lambda a, *rest: BoundsResult(a, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0),
+        )
+        assert run_cli("bounds", "--alpha-grid", "1:100:1") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 100
+        assert lines[-1].startswith("alpha=100 ")
 
 
 class TestSimulateCommand:

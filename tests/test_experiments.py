@@ -17,6 +17,7 @@ from locmst.experiments import (
     _event_log10,
     _ols_loglog,
     _sample_in_rect,
+    _study_task,
     fit_study,
     gap_stat,
     gap_stat_monotonicity,
@@ -136,6 +137,36 @@ class TestGapStat:
             ok, before, after = gap_stat_monotonicity(t, pts, alpha, nudged)
             assert ok
             assert after == pytest.approx(before)
+
+    @pytest.mark.parametrize(
+        "where", ["occupied", "empty", "vertical side", "horizontal side",
+                  "corner", "top edge", "empty base"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_monotonicity_equals_two_full_gap_stats(self, where, alpha):
+        # both sets come from one cell map of the base set and the added
+        # point; the sums must be those of gap_stat on each set
+        t = Tiling.from_grid(100, 6)
+        pts = np.random.default_rng(5).random((9, 2))
+        occupied = gap_stat(t, pts).occupied
+        free = min(set(range(1, 37)) - set(occupied))
+        extra = {
+            "occupied": pts[3] + 1e-9,
+            "empty": centers_of_cells(t, [free])[0],
+            "vertical side": [2 / 6, 0.55],
+            "horizontal side": [0.75, 4 / 6],
+            "corner": [3 / 6, 1 / 6],
+            "top edge": [0.1, 1.0],
+            "empty base": [0.3, 0.6],
+        }[where]
+        if where == "empty base":
+            pts = np.empty((0, 2))
+        elif where == "occupied":
+            assert cells_of(t, [extra]).tolist() == cells_of(t, pts[3:4]).tolist()
+        added = np.vstack([pts, extra])
+        ok, before, after = gap_stat_monotonicity(t, pts, alpha, extra)
+        assert before == gap_stat(t, pts).s_alpha(alpha)
+        assert after == gap_stat(t, added).s_alpha(alpha)
+        assert ok
 
 
 class TestIsolatedCells:
@@ -322,6 +353,51 @@ class TestDeterministicBounds:
             merge_bound_check(
                 euclidean_spec(), np.empty((0, 2)), np.zeros((2, 2)), 1.0
             )
+
+
+class TestOneCellPass:
+    """Each statistic maps a point set to its cells once: the gaps,
+    S_alpha and G all come from one sorted array of occupied cells."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        sizes = []
+
+        def counted(tiling, coords):
+            sizes.append(len(coords))
+            return cells_of(tiling, coords)
+
+        monkeypatch.setattr("locmst.geometry.cells_of", counted)
+        monkeypatch.setattr("locmst.experiments.cells_of", counted)
+        return sizes
+
+    def test_study_task(self, calls):
+        _study_task(("euclidean", 300, 0, 4, (1.0, 2.0)))
+        assert calls == [300]
+
+    def test_lower_bound_stat(self, calls):
+        pts = sample_binomial(200, Density.uniform(), 1).coords
+        lower_bound_stat(euclidean_spec(), build_tiling(200), pts, 1.0)
+        assert calls == [200]
+
+    def test_tiled_upper_bound(self, calls):
+        pts = sample_binomial(200, Density.uniform(), 2).coords
+        tiled_upper_bound(euclidean_spec(), build_tiling(200), pts, 2.0)
+        assert calls == [200]
+
+    def test_gap_stat_monotonicity(self, calls):
+        pts = sample_binomial(200, Density.uniform(), 3).coords
+        gap_stat_monotonicity(build_tiling(200), pts, 2.0, [0.5, 0.5])
+        assert calls == [201]  # the base set and the added point together
+
+    def test_records_match_the_separate_statistics(self):
+        # the study task's G and S_alpha are those of the public functions
+        n, seed = 500, 8
+        out = _study_task(("shifted", n, 1, seed, (0.5, 2.0)))
+        pts = sample_binomial(n, Density.uniform(), seed, key=(n, 1)).coords
+        t = build_tiling(n)
+        assert out[3] == {a: gap_stat(t, pts).s_alpha(a) for a in (0.5, 2.0)}
+        assert out[4] == isolated_cell_count(t, pts)
 
 
 class TestProp1:
@@ -552,6 +628,21 @@ class TestStudiesAndFits:
         monkeypatch.setattr("locmst.experiments.sample_binomial", no_sampling)
         with pytest.raises(ValueError):
             run_weight_study("euclidean", n_list, reps=reps, alphas=alphas,
+                             threads=threads)
+
+    @pytest.mark.parametrize("n_list, threads",
+                             [((64, 128), 1), ((16384, 20000), 2)])
+    def test_study_validation_refuses_an_unknown_kind(self, monkeypatch,
+                                                      n_list, threads):
+        # refused before the first point is drawn and before any pool
+        # starts; the second grid is above _POOL_MIN_POINTS
+        def no_sampling(*args, **kwargs):
+            pytest.fail("sampled a study that should have been refused")
+
+        monkeypatch.setattr("locmst.experiments.sample_binomial", no_sampling)
+        monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor", NoPool)
+        with pytest.raises(ValueError, match="unknown weight kind 'bogus'"):
+            run_weight_study("bogus", n_list, reps=2, alphas=(1.0,),
                              threads=threads)
 
     @pytest.mark.parametrize(

@@ -2,8 +2,13 @@
 
 The snake-index oracle below rebuilds the serpentine walk step by step
 (go down the first column, up the second, and so on), independently of
-the closed-form index arithmetic in the library.
+the closed-form index arithmetic in the library.  The cell oracle applies
+the shared-side rule literally, one point at a time: it lists every cell
+whose closed square holds the point and keeps the largest snake index.
 """
+
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -34,11 +39,40 @@ def snake_walk_oracle(s: int) -> list[tuple[int, int]]:
     return path
 
 
+def _axis_candidates(t: float, s: int) -> list[int]:
+    """0-based cells along one axis whose closed interval holds t."""
+    v = t * s
+    k = int(math.floor(v))
+    if k >= s:  # t == 1.0
+        return [s - 1]
+    if v == k and k > 0:
+        return [k - 1, k]
+    return [k]
+
+
+@functools.cache
+def _walk_position(s: int) -> dict[tuple[int, int], int]:
+    return {cell: pos for pos, cell in enumerate(snake_walk_oracle(s), start=1)}
+
+
+def cell_oracle(s: int, x: float, y: float) -> int:
+    """The larger snake index among the cells that share the point."""
+    pos = _walk_position(s)
+    cols = _axis_candidates(x, s)
+    rows = [s - 1 - b for b in _axis_candidates(y, s)]  # row from the top
+    return max(pos[c, r] for c in cols for r in rows)
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 8])
 def test_snake_index_matches_walk(s):
     walk = snake_walk_oracle(s)
     for pos, (col, row) in enumerate(walk, start=1):
         assert snake_index(s, col, row) == pos
+        assert type(snake_index(s, col, row)) is int
+    cols, rows = np.array(walk, dtype=np.int64).T
+    got = snake_index(s, cols, rows)
+    assert got.dtype == np.int64
+    assert got.tolist() == list(range(1, s * s + 1))
 
 
 @pytest.mark.parametrize("s", range(1, 41))
@@ -146,7 +180,21 @@ def test_cells_of_agrees_with_scalar_lookup(s, data):
     )
     vec = cells_of(t, pts)
     for k in range(n):
-        assert vec[k] == cell_of(t, pts[k, 0], pts[k, 1])
+        assert vec[k] == cell_oracle(s, pts[k, 0], pts[k, 1])
+        assert cell_of(t, pts[k, 0], pts[k, 1]) == vec[k]
+
+
+@pytest.mark.parametrize("s", range(1, 41))
+def test_cells_of_on_every_lattice_point(s):
+    # every k/s with 0 and 1, so every inner line, corner and edge of the
+    # grid, and the lattices of the neighbouring resolutions, whose points
+    # fall near the lines but rarely on them
+    t = Tiling.from_grid(100, s)
+    vals = sorted({k / m for m in (s, s + 1, 2 * s + 1) for k in range(m + 1)})
+    x, y = np.meshgrid(vals, vals)
+    pts = np.stack([x.ravel(), y.ravel()], axis=1)
+    want = [cell_oracle(s, a, b) for a, b in pts.tolist()]
+    assert cells_of(t, pts).tolist() == want
 
 
 @pytest.mark.parametrize("s", [1, 3, 6])
@@ -165,7 +213,7 @@ def test_occupancy_grid_and_occupied_cells_follow_the_scalar_lookup(s, n, seed):
     pts = rng.random((n, 2))
     pts[: n // 2] = rng.integers(0, s + 1, (n // 2, 2)) / s  # on gridlines
     t = Tiling.from_grid(100, s)
-    cells = sorted({cell_of(t, x, y) for x, y in pts.tolist()})
+    cells = sorted({cell_oracle(s, x, y) for x, y in pts.tolist()})
     want = np.zeros((s, s), dtype=bool)
     for index in cells:
         want[tuple(snake_order(s)[index - 1])] = True
