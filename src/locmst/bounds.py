@@ -146,6 +146,39 @@ def upper_constant_at(
     return (2.0 * A) ** alpha * (1.0 + moment / A**2)
 
 
+def _grid() -> np.ndarray:
+    """The log grid of side ratios A that ``_optimize`` prices."""
+    return np.exp(np.linspace(math.log(_GRID_LO), math.log(_GRID_HI), _GRID_N))
+
+
+def _check_float_range(alphas, eps1: float, eps2: float) -> None:
+    """Refuse an alpha whose constants leave the float range, before any
+    is optimized: each takes seconds at a non-integer alpha.
+
+    The constants are priced at the grid points where the float range runs
+    out first, points that the optimization prices too.  The upper
+    constant divides by p**alpha, which underflows at the smallest A from
+    about alpha = 54 on.  At a non-integer alpha its moment series
+    overflows from about alpha = 49 on, first where it sums the most
+    terms: at the smallest A with p >= _SMALL_P.  The lower constant
+    raises A**alpha, which overflows at the largest A from alpha = 309 on.
+    These thresholds hold at eps1 = eps2 = 1.
+    """
+    if not 0 < eps1 <= eps2:
+        raise ValueError("need 0 < eps1 <= eps2")
+    grid = _grid()
+    for a in alphas:
+        p = -np.expm1(-delta_for(a, eps1, eps2) * grid**2)
+        series = min(int(np.searchsorted(p, _SMALL_P)), len(grid) - 1)
+        lo, mid, hi = grid[[0, series, -1]].tolist()
+        try:
+            upper_constant_at(lo, a, eps1, eps2)
+            upper_constant_at(mid, a, eps1, eps2)
+            lower_constant_at(hi, a, eps1, eps2)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"alpha={a:g} is beyond the float range") from None
+
+
 def _golden(f, a: float, b: float, maximize: bool):
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     sign = 1.0 if maximize else -1.0
@@ -166,7 +199,7 @@ def _golden(f, a: float, b: float, maximize: bool):
 
 
 def _optimize(f, maximize: bool) -> tuple[float, float]:
-    grid = np.exp(np.linspace(math.log(_GRID_LO), math.log(_GRID_HI), _GRID_N))
+    grid = _grid()
     # Python floats, as in _golden: a power that overflows raises
     vals = np.array([f(a) for a in grid.tolist()])
     idx = int(np.argmax(vals) if maximize else np.argmin(vals))
@@ -218,14 +251,13 @@ def compute_bounds(
     c2: float = 1.0,
 ) -> BoundsResult:
     _check_alphas((alpha,))
-    if not 0 < eps1 <= eps2:
-        raise ValueError("need 0 < eps1 <= eps2")
+    _check_float_range((alpha,), eps1, eps2)
     if not 0 < c1 <= c2:
         raise ValueError("need 0 < c1 <= c2")
     try:
         a_lo, v_lo = beta_low(alpha, eps1, eps2)
         a_up, v_up = beta_up(alpha, eps1, eps2)
-    except (OverflowError, ZeroDivisionError):  # from about alpha = 50 on
+    except (OverflowError, ZeroDivisionError):  # where the check did not look
         raise ValueError(f"alpha={alpha:g} is beyond the float range") from None
     return BoundsResult(
         alpha=alpha, eps1=eps1, eps2=eps2, c1=c1, c2=c2,

@@ -12,7 +12,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bounds import _check_alphas, compute_bounds
+from .bounds import _check_alphas, _check_float_range, compute_bounds
 from .experiments import (
     _check_fittable,
     _check_study,
@@ -94,7 +94,9 @@ def cmd_bounds(args) -> int:
         alphas.extend(args.alpha_grid)
     if not alphas:
         alphas = [1.0]
-    _check_alphas(alphas)  # each constant takes seconds: refuse before the first
+    # each constant takes seconds: refuse before the first
+    _check_alphas(alphas)
+    _check_float_range(alphas, args.eps1, args.eps2)
     if args.plot and len(alphas) < 2:
         print("locmst: --plot needs an alpha grid", file=sys.stderr)
         return 2

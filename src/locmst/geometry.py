@@ -194,14 +194,6 @@ def cell_rect(tiling: Tiling, index: int) -> Rect:
     return Rect(x0, y0, x0 + side, y0 + side)
 
 
-def occupancy_grid(tiling: Tiling, coords: np.ndarray) -> np.ndarray:
-    """Boolean (s, s) array indexed [col, row-from-top], True where occupied."""
-    s = tiling.s
-    grid = np.zeros((s, s), dtype=bool)
-    grid[_snake_cell(s, occupied_cells(tiling, coords))] = True
-    return grid
-
-
 def occupied_cells(tiling: Tiling, coords: np.ndarray) -> np.ndarray:
     """Sorted unique snake indices of occupied cells."""
     if len(coords) == 0:

@@ -280,12 +280,6 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _PAIR_I[:m], _PAIR_J[:m]
 
 
-def _kruskal(n: int, ii: np.ndarray, jj: np.ndarray, order: np.ndarray) -> list[int]:
-    """Positions of Kruskal's tree edges among the pairs (ii, jj) taken in
-    ``order``."""
-    return [k for k, _, _ in _merges(n, ii, jj, order)]
-
-
 def mst_kruskal(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     coords = _validate_coords(coords)
     n = len(coords)
@@ -293,7 +287,8 @@ def mst_kruskal(spec: WeightSpec, coords: np.ndarray) -> MstResult:
         return _sorted_result(n)
     ii, jj = _pairs(n)
     ww = row_weight_fn(spec, coords)(ii, jj)
-    k = _kruskal(n, ii, jj, _kappa_order(ii, jj, ww))  # picks in kappa order
+    # Kruskal's picks, in kappa order
+    k = [k for k, _, _ in _merges(n, ii, jj, _kappa_order(ii, jj, ww))]
     return MstResult(n, ii[k], jj[k], ww[k])
 
 
@@ -743,15 +738,16 @@ def alpha_invariance_check(
     """Confirm that the kappa tree of h is a minimum tree of w = h**alpha
     for each alpha in ``alphas``.
 
-    Kruskal's tree depends only on the order in which it takes the pairs,
-    so an alpha whose kappa order of w is the kappa order of h gives the
-    h-tree itself, exactly, and needs no union loop.  The orders can
-    differ even though x -> x**alpha is increasing: rounding can tie two
-    weights h that are one ulp apart, and (i, j) may then break the tie
-    the other way.  Kruskal on w then returns another minimum tree of w.
-    All minimum trees of w have the same sorted weights, so the check
-    fails only when the h-tree's sorted w differ from that tree's: the
-    h-tree is then not a minimum tree under h**alpha.
+    The check builds no tree.  It sorts the weights h of all pairs once
+    and passes an alpha iff w = h_sorted**alpha is nondecreasing.  That is
+    exact: Kruskal's algorithm (Kruskal 1956) returns a minimum tree for
+    any order of the pairs by nondecreasing weight, however it breaks
+    ties.  When w is nondecreasing along the sorted h, the kappa order of
+    h is such an order for w, so the kappa tree of h, which Kruskal builds
+    from that order, is a minimum tree of w.  Every real alpha > 0 gives an
+    increasing power, which passes; only a "power" that is not monotone
+    can fail, and it fails whenever a minimum tree of w has sorted weights
+    other than the kappa tree's.
 
     The paper's claim needs a finite alpha > 0: an empty list, or an alpha
     that is not (NaN and inf included), raises ValueError.
@@ -764,19 +760,11 @@ def alpha_invariance_check(
     n = len(coords)
     if n < 2:
         return True
-    ii, jj = _pairs(n)
-    base = row_weight_fn(spec, coords)(ii, jj)
-    order = _kappa_order(ii, jj, base)
-    tree = None
+    h = row_weight_fn(spec, coords)(*_pairs(n))
+    h.sort()
     for alpha in alphas:
-        w = base**alpha
-        moved = _kappa_order(ii, jj, w)
-        if np.array_equal(moved, order):
-            continue
-        if tree is None:
-            tree = _kruskal(n, ii, jj, order)
-        other = _kruskal(n, ii, jj, moved)
-        if not np.array_equal(np.sort(w[tree]), np.sort(w[other])):
+        w = h**alpha
+        if not (w[1:] >= w[:-1]).all():
             return False
     return True
 

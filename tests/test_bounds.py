@@ -185,8 +185,12 @@ class TestComputeBounds:
             compute_bounds(alpha)
 
     @pytest.mark.parametrize("alpha", [60.0, 100.0, 100.5, 200.0, 400.0])
-    def test_refuses_alpha_beyond_the_float_range(self, alpha):
+    def test_refuses_alpha_beyond_the_float_range(self, monkeypatch, alpha):
         # an underflow to zero, an integer too large for a float and a
-        # float power that overflows; none may escape as a bare traceback
+        # float power that overflows; none may escape as a bare traceback,
+        # and each is found at the check's grid points, before any
+        # optimization
+        monkeypatch.setattr("locmst.bounds._optimize",
+                            lambda *args: pytest.fail("optimized a refused alpha"))
         with pytest.raises(ValueError, match="beyond the float range"):
             compute_bounds(alpha)

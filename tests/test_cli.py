@@ -68,6 +68,7 @@ class TestBoundsCommand:
         ("--alpha", "0.5", "--alpha", "-1"),
         ("--alpha", "2", "--alpha-grid", "0.5:1.5:0.5", "--alpha", "nan"),
         ("--alpha-grid", "0.5:1.5:0.5", "--alpha", "inf", "--out", "b.json"),
+        ("--alpha", "0.5", "--alpha", "60"),  # its constants overflow
     ])
     def test_every_alpha_is_checked_before_the_first_constant(
         self, monkeypatch, capsys, argv
@@ -79,7 +80,11 @@ class TestBoundsCommand:
 
         monkeypatch.setattr("locmst.cli.compute_bounds", no_bounds)
         assert run_cli("bounds", *argv) == 2
-        assert "locmst: alpha must be positive and finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if "60" in argv:
+            assert "locmst: alpha=60 is beyond the float range" in err
+        else:
+            assert "locmst: alpha must be positive and finite" in err
 
     @pytest.mark.parametrize("grid", ["0.5:100000:1", "1:1e9:1", "0:inf:1",
                                       "0:100:1", "nan:1:0.5", "1:2:nan"])
@@ -98,10 +103,12 @@ class TestBoundsCommand:
             "locmst.cli.compute_bounds",
             lambda a, *rest: BoundsResult(a, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0),
         )
-        assert run_cli("bounds", "--alpha-grid", "1:100:1") == 0
+        # 100 alphas, all inside the float range: the range check, which
+        # is not mocked, passes them all
+        assert run_cli("bounds", "--alpha-grid", "0.25:25:0.25") == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 100
-        assert lines[-1].startswith("alpha=100 ")
+        assert lines[-1].startswith("alpha=25 ")
 
 
 class TestSimulateCommand:

@@ -22,7 +22,6 @@ from locmst.geometry import (
     cell_of,
     cell_rect,
     cells_of,
-    occupancy_grid,
     occupied_cells,
     snake_index,
     snake_order,
@@ -208,24 +207,18 @@ def test_cell_rect_roundtrip(s):
 
 @given(s=st.integers(1, 12), n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200)
-def test_occupancy_grid_and_occupied_cells_follow_the_scalar_lookup(s, n, seed):
+def test_occupied_cells_follow_the_scalar_lookup(s, n, seed):
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     pts[: n // 2] = rng.integers(0, s + 1, (n // 2, 2)) / s  # on gridlines
     t = Tiling.from_grid(100, s)
     cells = sorted({cell_oracle(s, x, y) for x, y in pts.tolist()})
-    want = np.zeros((s, s), dtype=bool)
-    for index in cells:
-        want[tuple(snake_order(s)[index - 1])] = True
-    np.testing.assert_array_equal(occupancy_grid(t, pts), want)
     assert occupied_cells(t, pts).tolist() == cells
 
 
-def test_occupancy_grid_and_occupied_cells():
+def test_occupied_cells():
     t = Tiling.from_grid(100, 5)
     pts = np.array([[0.05, 0.05], [0.07, 0.07], [0.9, 0.9]])
-    grid = occupancy_grid(t, pts)
-    assert grid.sum() == 2
     occ = occupied_cells(t, pts)
     assert len(occ) == 2
     assert sorted(occ) == sorted(cells_of(t, pts[[0, 2]]).tolist())

@@ -43,6 +43,7 @@ from locmst.mst import (
     _boruvka,
     _grid_neighbours,
     _kappa_order,
+    _merges,
     _pairs,
     _reject_duplicates,
 )
@@ -893,10 +894,13 @@ def test_alpha_invariance_small(seed):
 def test_alpha_invariance_holds_on_lattice_ties(kind, n):
     # h**alpha rounds lattice weights one ulp apart into a tie, which (i, j)
     # breaks the other way; the tree that Kruskal then picks is another
-    # minimum tree of h**alpha, not a moved one
+    # minimum tree of h**alpha, not a moved one.  The check sees that from
+    # the sorted weights alone and runs no union loop
     grid = np.stack(np.meshgrid(np.arange(6), np.arange(6)), -1).reshape(-1, 2) / 6
     pts = grid[np.random.default_rng(n).permutation(36)[:n]]
-    assert alpha_invariance_check(spec_from_kind(kind), pts)
+    with mock.patch.object(mst_module, "_merges", wraps=_merges) as merges:
+        assert alpha_invariance_check(spec_from_kind(kind), pts)
+    assert merges.call_count == 0
 
 
 class NonMonotone(float):
@@ -909,12 +913,79 @@ class NonMonotone(float):
 
 
 def test_alpha_invariance_catches_a_moved_tree():
-    # each alpha is checked against the tree of h, so one alpha is enough
+    # every alpha is checked, so one non-monotone alpha anywhere fails
     pts = np.random.default_rng(3).random((30, 2))
     for kind in KINDS:
         spec = spec_from_kind(kind)
         assert not alpha_invariance_check(spec, pts, (NonMonotone(1.0),))
         assert not alpha_invariance_check(spec, pts, (1.0, NonMonotone(1.0), 2.0))
+        assert not alpha_invariance_check(spec, pts, (1.0, 2.0, NonMonotone(1.0)))
+
+
+def two_kruskal_invariance_oracle(spec, coords, alphas) -> bool:
+    """The invariance check by building trees.
+
+    Kruskal runs over the kappa order of h and, for each alpha whose kappa
+    order of w = h**alpha differs, over that order too.  Both trees are
+    then minimum trees of w only if their sorted w agree, since every
+    minimum tree of w has the same sorted weights.
+    """
+    n = len(coords)
+    if n < 2:
+        return True
+    ii, jj = _pairs(n)
+    base = row_weight_fn(spec, coords)(ii, jj)
+    order = _kappa_order(ii, jj, base)
+
+    def kruskal(order):
+        return [k for k, _, _ in _merges(n, ii, jj, order)]
+
+    tree = None
+    for alpha in alphas:
+        w = base**alpha
+        moved = _kappa_order(ii, jj, w)
+        if np.array_equal(moved, order):
+            continue
+        if tree is None:
+            tree = kruskal(order)
+        if not np.array_equal(np.sort(w[tree]), np.sort(w[kruskal(moved)])):
+            return False
+    return True
+
+
+def invariance_instance(family: str, n: int, rng) -> np.ndarray:
+    if family == "spaced_line":  # equally spaced on a slanted line, so
+        # pair weights tie or lie an ulp apart
+        t = rng.permutation(n) / n
+        return np.stack([t, 0.5 * t + 0.2], axis=1)
+    return band_instance(family, n, rng)
+
+
+@given(
+    family=st.sampled_from(BAND_FAMILIES + ("spaced_line",)),
+    kind=st.sampled_from(KINDS),
+    n=st.integers(2, 200),
+    seed=st.integers(0, 2**32 - 1),
+    alphas=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=4),
+    bend=st.none() | st.integers(0, 4),
+)
+@example(family="lattice", kind="euclidean", n=_KRUSKAL_MAX_N + 1, seed=0,
+         alphas=[0.5, 1.0, 2.0, 3.0], bend=None)
+@settings(max_examples=200, deadline=None)
+def test_alpha_invariance_gives_the_two_kruskal_verdict(
+    family, kind, n, seed, alphas, bend
+):
+    # n crosses _KRUSKAL_MAX_N, where the pairs stop coming from the table
+    spec = spec_from_kind(kind)
+    pts = invariance_instance(family, n, np.random.default_rng(seed))
+    if bend is not None:
+        alphas.insert(bend % (len(alphas) + 1), NonMonotone(1.0))
+    got = alpha_invariance_check(spec, pts, alphas)
+    want = two_kruskal_invariance_oracle(spec, pts, alphas)
+    if bend is None:
+        assert got == want
+    else:  # a sorted w that is nondecreasing makes every minimum tree agree
+        assert want or not got
 
 
 @pytest.mark.parametrize(
