@@ -63,7 +63,8 @@ def geometric_moment(r: float, p: float) -> float:
     truncated once a rigorous geometric bound on the dropped tail falls
     below 1e-12 relative.  Below p = 1e-4 the sum is numerically
     indistinguishable from its small-p limit Gamma(r + 1) / p**r
-    (relative error O(r**2 p)), which is returned directly.
+    (relative error O(r**2 p)), which is returned directly.  A series
+    whose terms or sum leave the float range raises OverflowError.
     """
     if not 0.0 < p < 1.0:
         raise InvalidPError(f"p must be in (0, 1), got {p}")
@@ -84,7 +85,10 @@ def geometric_moment(r: float, p: float) -> float:
     chunk = 4096
     while True:
         t = np.arange(start, start + chunk, dtype=float)
-        total += float(np.sum(t**r * q ** (t - 1.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += float(np.sum(t**r * q ** (t - 1.0)))
+        if not math.isfinite(total):
+            raise OverflowError(f"E[T**{r:g}] at p={p:g} leaves the float range")
         start += chunk
         ratio = (start / (start - 1.0)) ** r * q
         if ratio < 1.0:

@@ -43,6 +43,17 @@ forest, and Boruvka's algorithm (``_boruvka``, numpy rounds of cheapest
 edge per component) finds the same forest that Kruskal over the ranks
 would.  It needs no sort and no sparse matrix.
 
+A band that follows a stalled band, one that joined no two components,
+is the last when at most _FINISH_STRAGGLERS points lie outside the
+largest component.  Every pair still to join has an end among those
+stragglers, so it prices their full rows (``_straggler_rows``) instead
+of searching a radius, cuts each row to its kappa-cheapest pair to each
+other component, and Boruvka over those pairs completes the tree.  The
+kappa-minimal pair between two components is the cheapest of its own
+rows, so this too is exact.  It replaces the bands that double the radius
+until it reaches far points, such as the good-square probe's satellites
+across their empty moat.
+
 ``mst_with_point(spec, coords, tree, x)`` adds one point to a solved tree
 without solving again.  The tree of X and x lies in the tree of X plus
 the n pairs of x (Chin and Houck, "Algorithms for updating minimal
@@ -93,6 +104,16 @@ _BAND_CHUNK = 1 << 14
 # A band keeps pairs with h < lam * R * (1 - _BAND_SLACK), so that float
 # rounding can never put such a pair outside the radius-R search.
 _BAND_SLACK = 1e-9
+# A band after one that joined no two components finishes the tree from
+# the full rows of the points outside the largest component when there
+# are at most this many.  Rows cost about 0.2 ms per straggler at
+# n = 10 000 however many bands they replace.  On a 2-core VM, finishing
+# band / the grid bands it replaced, in ms, n = 10 000: k satellites on
+# the good-square ring, k = 12: 2.8 / 20.0 (5 bands); k = 32: 7.1 / 53.7
+# (3); k = 96: 17.5 / 119 (4).  k points in empty discs that one more band
+# reaches, k = 8: 1.9-2.1 / 1.3-1.9; k = 16: 4.0 / 2.5.  So the rows win
+# unless one band would do, and the cap bounds that loss to a few ms.
+_FINISH_STRAGGLERS = 32
 # Grid cells are at least span / _GRID_CELLS wide: cell indices then fit
 # the search key, and their rounding error stays far below _BAND_SLACK.
 _GRID_CELLS = 1 << 20
@@ -460,7 +481,47 @@ def _boruvka(n_comp: int, a: np.ndarray, b: np.ndarray):
     return (np.concatenate(picked) if picked else pos), n_comp, label
 
 
-def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit):
+def _straggler_rows(weigh, comp, search):
+    """Every pair that joins two components and has an end in ``search``,
+    cut to the cheapest few, as (i, j, h) arrays with i < j.
+
+    The points of ``search`` are priced against every point, in blocks of
+    at most _BAND_CHUNK pairs (one row, where a row alone holds more).  A
+    pair with both ends in ``search`` is taken from its lower-index end
+    only, so each pair comes out once.  Each row is cut to its
+    kappa-minimal pair to each other component.  The pairs (s, p) of one
+    row that tie in h are in kappa order by p, so over the points sorted
+    by (component, index) that pair is the first of the tied minima: a
+    minimum-reduce over each component's run, with no sort.  The
+    kappa-minimal pair between two components is also the cheapest of the
+    row it is taken from, so it is among the pairs returned.
+    """
+    n = len(comp)
+    order = np.argsort(comp, kind="stable")
+    run_comp = comp[order]
+    first = np.flatnonzero(np.concatenate(([True], run_comp[1:] != run_comp[:-1])))
+    run = np.diff(first, append=n)
+    searched = np.zeros(n, dtype=bool)
+    searched[search] = True
+    in_search = searched[order]
+    at = np.arange(n)
+    found = []
+    step = max(1, _BAND_CHUNK // n)
+    for k in range(0, len(search), step):
+        s = search[k:k + step, None]
+        h = weigh(s, order)
+        h[(run_comp == comp[s]) | (in_search & (order < s))] = np.inf
+        least = np.minimum.reduceat(h, first, axis=1)
+        tied = h == np.repeat(least, run, axis=1)
+        del h
+        pick = np.minimum.reduceat(np.where(tied, at, n), first, axis=1)
+        row, group = np.nonzero(least < np.inf)
+        s, p = s[row, 0], order[pick[row, group]]
+        found.append((np.minimum(s, p), np.maximum(s, p), least[row, group]))
+    return (np.concatenate(col) for col in zip(*found))
+
+
+def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit, stalled):
     """Run kappa-Kruskal over one band: the pairs with h < limit that join
     two of the ``n_comp`` components labelled by ``comp``.
 
@@ -476,6 +537,11 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit):
     pairs inside one component are dropped.  The pair set is the same
     either way.  Pairs with a discount end come from that end's full row
     instead.
+
+    After a ``stalled`` band, one that joined no two components, with at
+    most _FINISH_STRAGGLERS points outside the largest component, the band
+    is the last: it takes every pair, whatever ``limit``, from those
+    points' full rows (`_straggler_rows`), and no grid search runs.
 
     The band's cheapest pairs between two components, in kappa order, are
     the edges of the component graph, and a pair's position is its kappa
@@ -502,23 +568,27 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit):
         if 2 * (n - sizes[giant]) <= n:
             search = np.flatnonzero(comp != giant).astype(np.int32)
     wide = len(search) == n
-    for s, p in _grid_neighbours(coords, lo, cell, search):
-        if not singles:
-            joins = comp[s] != comp[p]
-            if not wide:  # a pair with both ends searched is found twice
-                joins &= (comp[p] == giant) | (s < p)
-            s, p = s[joins], p[joins]
-        if has_cheap:  # a pair with a discount end comes from that end's row
-            far = ~(cheap[s] | cheap[p])
-            s, p = s[far], p[far]
-        keep(s, p)
-    for k in np.flatnonzero(cheap):
-        p = np.flatnonzero((comp != comp[k]) & ~(cheap & (np.arange(n) < k)))
-        keep(np.full(len(p), k, dtype=np.int32), p.astype(np.int32))
-    # arrays are dropped as soon as they are spent: the first band's
-    # transients set the solver's peak memory
-    i, j, h = (np.concatenate(col) for col in zip(*found))
-    del found
+    if stalled and not wide and len(search) <= _FINISH_STRAGGLERS:
+        # their rows hold every joining pair, discount pairs included
+        i, j, h = _straggler_rows(weigh, comp, search)
+    else:
+        for s, p in _grid_neighbours(coords, lo, cell, search):
+            if not singles:
+                joins = comp[s] != comp[p]
+                if not wide:  # a pair with both ends searched is found twice
+                    joins &= (comp[p] == giant) | (s < p)
+                s, p = s[joins], p[joins]
+            if has_cheap:  # a pair with a discount end comes from that end's row
+                far = ~(cheap[s] | cheap[p])
+                s, p = s[far], p[far]
+            keep(s, p)
+        for k in np.flatnonzero(cheap):
+            p = np.flatnonzero((comp != comp[k]) & ~(cheap & (np.arange(n) < k)))
+            keep(np.full(len(p), k, dtype=np.int32), p.astype(np.int32))
+        # arrays are dropped as soon as they are spent: the first band's
+        # transients set the solver's peak memory
+        i, j, h = (np.concatenate(col) for col in zip(*found))
+        del found
     best = _cheapest_per_component_pair(comp, n_comp, i, j, h)
     i, j, h = i[best], j[best], h[best]
     del best
@@ -536,7 +606,9 @@ def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     that end's full row).  So a grid search of radius R_k finds the band,
     and Kruskal over it, in kappa order, continues the kappa-Kruskal run
     exactly (see the module docstring).  R_0 follows the point spacing and
-    R doubles each band until one component is left.
+    R doubles each band until one component is left, or until the band
+    after one that joined nothing finishes from the stragglers' full rows
+    (see `_band_forest`).
     """
     coords = _validate_coords(coords)
     n = len(coords)
@@ -555,11 +627,14 @@ def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     comp = np.arange(n, dtype=np.int32)
     n_comp = n
     tree: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    stalled = False
     while n_comp > 1:
         limit = lam * radius * (1.0 - _BAND_SLACK)
-        edges, n_comp, comp = _band_forest(
-            weigh, coords, lo, radius, comp, n_comp, cheap, limit
+        edges, left, comp = _band_forest(
+            weigh, coords, lo, radius, comp, n_comp, cheap, limit, stalled
         )
+        stalled = left == n_comp
+        n_comp = left
         tree.append(edges)
         radius *= 2.0
     ei, ej, w = (np.concatenate(col) for col in zip(*tree))

@@ -69,6 +69,13 @@ class TestGeometricMoment:
         scale = (1.02 / 0.98) ** r  # remove the p**-r trend before comparing
         assert shortcut * 1.0 == pytest.approx(series * scale, rel=2e-3)
 
+    def test_series_beyond_the_float_range_raises_overflow_quietly(self):
+        # t**r passes the float range before the sum converges; under the
+        # suite's error::RuntimeWarning filter a numpy overflow warning
+        # would escape as a RuntimeWarning instead
+        with pytest.raises(OverflowError, match="leaves the float range"):
+            geometric_moment(49.5, 1.0001e-4)
+
     def test_domain_errors(self):
         for bad in (0.0, 1.0, 1.2, -0.1):
             with pytest.raises(InvalidPError):
@@ -184,12 +191,12 @@ class TestComputeBounds:
         with pytest.raises(ValueError, match="positive and finite"):
             compute_bounds(alpha)
 
-    @pytest.mark.parametrize("alpha", [60.0, 100.0, 100.5, 200.0, 400.0])
+    @pytest.mark.parametrize("alpha", [49.5, 60.0, 100.0, 100.5, 200.0, 400.0])
     def test_refuses_alpha_beyond_the_float_range(self, monkeypatch, alpha):
-        # an underflow to zero, an integer too large for a float and a
-        # float power that overflows; none may escape as a bare traceback,
-        # and each is found at the check's grid points, before any
-        # optimization
+        # a moment series that overflows, an underflow to zero, an integer
+        # too large for a float and a float power that overflows; none may
+        # escape as a bare traceback or a numpy warning, and each is found
+        # at the check's grid points, before any optimization
         monkeypatch.setattr("locmst.bounds._optimize",
                             lambda *args: pytest.fail("optimized a refused alpha"))
         with pytest.raises(ValueError, match="beyond the float range"):

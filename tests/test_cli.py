@@ -381,8 +381,9 @@ def test_usage_errors_exit_2_as_a_process(tmp_path):
         # the paper's claims need alpha > 0; NaN and inf are refused too
         (["bounds", "--alpha", "nan", "--out", "b.json"], alpha),
         (["bounds", "--alpha", "inf", "--out", "b.json"], alpha),
-        # a finite alpha whose constants leave the float range, at three
+        # a finite alpha whose constants leave the float range, at four
         # different operations
+        (["bounds", "--alpha", "49.5"], "locmst: alpha=49.5 is beyond the float range"),
         (["bounds", "--alpha", "100"], "locmst: alpha=100 is beyond the float range"),
         (["bounds", "--alpha", "200"], "locmst: alpha=200 is beyond the float range"),
         (["bounds", "--alpha", "400"], "locmst: alpha=400 is beyond the float range"),
@@ -417,4 +418,5 @@ def test_usage_errors_exit_2_as_a_process(tmp_path):
         proc = run_process(argv, tmp_path)
         assert proc.returncode == 2, argv
         assert message in proc.stderr, argv
+        assert "Warning" not in proc.stderr, argv
     assert not any(tmp_path.iterdir())  # no artifact written

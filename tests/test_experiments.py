@@ -17,6 +17,7 @@ from locmst.experiments import (
     _event_log10,
     _ols_loglog,
     _sample_in_rect,
+    _sorted_difference,
     _study_task,
     fit_study,
     gap_stat,
@@ -498,6 +499,23 @@ class TestGoodSquareProbe:
         rep = good_square_probe(5, n=400, alpha=1.0, seed=1, x_at_center=True)
         a = 1.0 / rep.s
         assert rep.increments[0] == pytest.approx(15 * a, rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["random", "empty", "disjoint", "equal"])
+    def test_sorted_difference_is_setdiff1d(self, case):
+        rng = np.random.default_rng(7)
+        for size in (0, 1, 2, 50, 3000):
+            a = np.unique(rng.integers(0, 4 * size + 1, size))
+            b = np.unique(rng.integers(0, 4 * size + 1, size))
+            if case == "empty":
+                a, b = (a, b[:0]) if size % 2 else (a[:0], b)
+            elif case == "disjoint":  # b all below, between or above a
+                b = np.setdiff1d(np.arange(-3, 4 * size + 4), a)[::3]
+            elif case == "equal":
+                b = a.copy()
+            for x, y in ((a, b), (b, a)):
+                got = _sorted_difference(x, y)
+                np.testing.assert_array_equal(got, np.setdiff1d(x, y))
+                assert got.dtype == x.dtype
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):

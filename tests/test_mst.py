@@ -33,8 +33,10 @@ from locmst.mst import (
     verify_path_criterion,
 )
 from locmst import mst as mst_module
+from locmst.experiments import good_square_probe, prop1_demo
 from locmst.mst import (
     _BAND_CHUNK,
+    _FINISH_STRAGGLERS,
     _GRID_CELLS,
     _KRUSKAL_MAX_N,
     MstResult,
@@ -46,6 +48,7 @@ from locmst.mst import (
     _merges,
     _pairs,
     _reject_duplicates,
+    _straggler_rows,
 )
 from locmst.weights import (
     WeightSpec,
@@ -282,7 +285,13 @@ def assert_same_tree(got, want):
 BAND_FAMILIES = (
     "uniform", "lattice", "collinear", "zero_area", "cell_boundaries",
     "rescaled", "far_clusters", "moat", "discount_points", "frame",
+    "satellites",
 )
+# 48 positions on a ring around (0.5, 0.5), 1/16 apart, so pairs tie
+SATELLITE_RING = 0.5 + np.array(
+    [(a, b) for b in (-6, 6) for a in range(-6, 7)]
+    + [(b, a) for b in (-6, 6) for a in range(-5, 6)]
+) / 16
 
 
 def band_instance(family: str, n: int, rng) -> np.ndarray:
@@ -319,6 +328,24 @@ def band_instance(family: str, n: int, rng) -> np.ndarray:
         turn = rng.random(n) < 0.5
         pts[turn] = pts[turn, ::-1]
         return pts
+    if family == "satellites":  # a dense cluster or a frame, and 1-32 far
+        # points: one on a discount cell, the rest on SATELLITE_RING, the
+        # first of them below the cluster.  The cluster is a lattice,
+        # taller than wide and symmetric about x = 0.5, so that far point
+        # is equally far from two cluster points.
+        k = min(int(rng.integers(1, 33)), n - 1)
+        cell = hotspot_spec().layout.central_cells()[0]
+        ring = SATELLITE_RING[np.r_[6, rng.permutation(np.r_[:6, 7:48])]]
+        far = np.vstack([[(cell.xmin + cell.xmax) / 2] * 2, ring])[:k]
+        m = n - k
+        if rng.random() < 0.5:
+            wide = 2 * max(1, math.isqrt(m) // 4)
+            col, row = np.arange(m) % wide, np.arange(m) // wide
+            near = 0.5 + np.stack([col - (wide - 1) / 2,
+                                   row - (-(-m // wide) - 1) / 2], 1) / 1024
+        else:
+            near = band_instance("frame", m, rng)
+        return rng.permutation(np.vstack([near, far]))
     if family == "discount_points":  # inside and on the corners of the cells
         cells = hotspot_spec().layout.central_cells()
         pts = rng.random((n, 2))
@@ -335,6 +362,50 @@ def pair_distances(pts) -> np.ndarray:
     return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
 
 
+@contextlib.contextmanager
+def watched_bands():
+    """Spy on the bands of a solve and on the searches that feed them.
+
+    Yields a mock whose ``mock_calls`` hold, in call order, the calls of
+    `_band_forest` ("band"), `_grid_neighbours` ("grid") and
+    `_straggler_rows` ("rows").  Each call of `_cheapest_per_component_pair`
+    is checked to get every pair at most once, as it requires.
+    """
+    calls = mock.Mock()
+    cheapest = mst_module._cheapest_per_component_pair
+
+    def each_pair_once(comp, n_comp, i, j, h):
+        key = i.astype(np.int64) * len(comp) + j
+        assert len(np.unique(key)) == len(key), "a pair arrived twice"
+        return cheapest(comp, n_comp, i, j, h)
+
+    with contextlib.ExitStack() as patches:
+        for name, fn in (("band", _band_forest), ("grid", _grid_neighbours),
+                         ("rows", _straggler_rows)):
+            spy = mock.Mock(wraps=fn)
+            calls.attach_mock(spy, name)
+            patches.enter_context(mock.patch.object(mst_module, fn.__name__, spy))
+        patches.enter_context(mock.patch.object(
+            mst_module, "_cheapest_per_component_pair", each_pair_once))
+        yield calls
+
+
+def band_searches(calls) -> list[str]:
+    """The search that fed each band, "grid" or "rows": exactly one per
+    band, and rows only in the last band, after a band that joined no two
+    components, from at most _FINISH_STRAGGLERS points."""
+    names = [name for name, _, _ in calls.mock_calls]
+    n_comps = [c.args[5] for c in calls.band.call_args_list]
+    assert names[::2] == ["band"] * len(n_comps)
+    searches = names[1::2]
+    assert len(searches) == len(n_comps)
+    assert "rows" not in searches[:-1]
+    if searches and searches[-1] == "rows":
+        assert len(n_comps) >= 2 and n_comps[-1] == n_comps[-2]
+        assert len(calls.rows.call_args.args[2]) <= _FINISH_STRAGGLERS
+    return searches
+
+
 @given(
     family=st.sampled_from(BAND_FAMILIES),
     kind=st.sampled_from(KINDS),
@@ -346,11 +417,7 @@ def pair_distances(pts) -> np.ndarray:
 def test_band_solver_equals_prim_exactly(family, kind, n, seed, tiny_start):
     spec = spec_from_kind(kind)
     pts = band_instance(family, n, np.random.default_rng(seed))
-    grid = mock.Mock(wraps=_grid_neighbours)
-    band = mock.Mock(wraps=_band_forest)
-    with contextlib.ExitStack() as patches:
-        patches.enter_context(mock.patch.object(mst_module, "_grid_neighbours", grid))
-        patches.enter_context(mock.patch.object(mst_module, "_band_forest", band))
+    with watched_bands() as calls, contextlib.ExitStack() as patches:
         if tiny_start:
             # a first radius below every pair distance: the first bands
             # merge nothing, so the all-points half stencil runs more than once
@@ -359,9 +426,11 @@ def test_band_solver_equals_prim_exactly(family, kind, n, seed, tiny_start):
             patches.enter_context(mock.patch.object(
                 mst_module, "_initial_radius", return_value=d.min() / 8))
         got = mst_bands(spec, pts)
-    # one grid search per band
-    all_points = [len(c.args[3]) == len(pts) for c in grid.call_args_list]
-    merged = [c.args[5] < len(pts) for c in band.call_args_list]
+    # one grid search per band, but for a last band finished from rows; so
+    # grid search k is that of band k
+    band_searches(calls)
+    all_points = [len(c.args[3]) == len(pts) for c in calls.grid.call_args_list]
+    merged = [c.args[5] < len(pts) for c in calls.band.call_args_list]
     if tiny_start and len(pts) > 1:
         # unless discount rows merge early or the radius is raised to the
         # finest grid, nothing merges before the third band (a family that
@@ -374,6 +443,51 @@ def test_band_solver_equals_prim_exactly(family, kind, n, seed, tiny_start):
         # largest component, so a later band searches from all points
         assert any(m and a for m, a in zip(merged, all_points))
     assert_same_tree(got, mst_prim_dense(spec, pts))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_satellites_finish_from_rows_exactly(kind):
+    # far points that tie, lower-index ends on both sides, a discount
+    # straggler: a third or more of these solves end in a band priced from
+    # rows (fewer on hotspot weights, where the discount point's cheap row
+    # keeps joining far points, so fewer bands stall)
+    spec = spec_from_kind(kind)
+    finished = 0
+    for seed in range(12):
+        pts = band_instance("satellites", 300, np.random.default_rng(seed))
+        with watched_bands() as calls:
+            got = mst_bands(spec, pts)
+        finished += band_searches(calls)[-1] == "rows"
+        assert_same_tree(got, mst_prim_dense(spec, pts))
+    assert finished >= 4
+
+
+def test_good_square_finishes_at_the_band_after_its_first_stall():
+    with watched_bands() as calls:
+        rep = good_square_probe(5, n=2000, alpha=1.0, seed=0)
+    assert rep.ok
+    n_comps = [c.args[5] for c in calls.band.call_args_list]
+    stall = next(k for k in range(1, len(n_comps)) if n_comps[k] == n_comps[k - 1])
+    assert len(n_comps) == stall + 1
+    assert band_searches(calls)[-1] == "rows"
+    assert [name for name, _, _ in calls.mock_calls][-1] == "rows"
+
+
+@pytest.mark.parametrize("case", [*KINDS, "prop1_conditional"])
+def test_a_solve_whose_every_band_joins_never_finishes_from_rows(case):
+    with watched_bands() as calls:
+        if case in KINDS:
+            pts = np.random.default_rng(3).random((8192, 2))
+            mst_bands(spec_from_kind(case), pts)
+        else:
+            # the probes benchmark's instance at seed 0: after the first
+            # band 28 points lie outside the largest component, and the
+            # second band joins them all
+            prop1_demo(2, reps=1, seed=1246951205, mode="conditional")
+    n_comps = [c.args[5] for c in calls.band.call_args_list]
+    assert len(n_comps) >= 2
+    assert all(a > b for a, b in zip(n_comps, n_comps[1:]))
+    assert "rows" not in band_searches(calls)
 
 
 def stencil_pairs(pts, cell, search) -> list[tuple[int, int]]:
