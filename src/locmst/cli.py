@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a checked invariant fails (the first
-witness is printed), 2 on configuration errors.
+witness is printed), 2 on configuration errors and when memory runs out.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from .bounds import _check_alphas, _check_float_range, compute_bounds
 from .experiments import (
     _check_fittable,
-    _check_study,
     fit_study,
     good_square_probe,
     prop1_demo,
@@ -167,7 +166,6 @@ def _slope_line(fit) -> str:
 
 def _run_study_command(args, quantity: str) -> int:
     # refuse a study that cannot be fitted before any point is drawn
-    _check_study(args.n_list, args.reps, args.alpha, args.threads)
     _check_fittable(quantity, args.n_list, args.reps)
     experiment = "scaling" if quantity == "mean" else "variance"
     study = run_weight_study(
@@ -400,6 +398,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"locmst: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # numpy's names the allocation
+        print(f"locmst: out of memory{detail}", file=sys.stderr)
         return 2
 
 

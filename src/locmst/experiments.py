@@ -470,16 +470,6 @@ _SATELLITE_OFFSETS = tuple(
 )
 
 
-def _sorted_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The keys of ``a`` that are not in ``b``, both sorted and unique:
-    np.setdiff1d's result, by binary search instead of its hashing."""
-    at = np.searchsorted(b, a)
-    inside = at < len(b)
-    found = np.zeros(len(a), dtype=bool)
-    found[inside] = b[at[inside]] == a[inside]
-    return a[~found]
-
-
 def good_square_probe(
     g: int,
     n: int = 10_000,
@@ -554,17 +544,15 @@ def good_square_probe(
 
     t_old = minimum_spanning_tree(spec, coords_old)
     t_new = mst_with_point(spec, coords_old, t_old, x_new)
+    # t_new lies in t_old plus the pairs of x, which has the largest index
+    star = np.sort(t_new.edge_i[t_new.edge_j == new_vertex])
+    added = tuple((i, new_vertex) for i in star.tolist())
     # edge (lo, hi) as the key lo * m + hi: sorted keys are sorted edges
     m = new_vertex + 1
     old_keys = np.sort(t_old.edge_i * m + t_old.edge_j)
-    new_keys = np.sort(t_new.edge_i * m + t_new.edge_j)
-
-    def edges(keys) -> tuple[tuple[int, int], ...]:
-        lo, hi = np.divmod(keys, m)
-        return tuple(zip(lo.tolist(), hi.tolist()))
-
-    added = edges(_sorted_difference(new_keys, old_keys))
-    removed = edges(_sorted_difference(old_keys, new_keys))
+    gone = np.setdiff1d(old_keys, t_new.edge_i * m + t_new.edge_j,
+                        assume_unique=True)
+    removed = tuple(zip(*(k.tolist() for k in np.divmod(gone, m))))
     edge_ok = (
         len(removed) == 0
         and len(added) == 1

@@ -41,7 +41,10 @@ kappa order, is an edge of the component graph whose kappa rank is its
 position.  Ranks are distinct, so the graph has one minimum spanning
 forest, and Boruvka's algorithm (``_boruvka``, numpy rounds of cheapest
 edge per component) finds the same forest that Kruskal over the ranks
-would.  It needs no sort and no sparse matrix.
+would.  It needs no sparse matrix.  Its picked ranks, sorted, give the
+band's edges in kappa order, and each band's edges lie above the last
+band's, which took every joining pair below its limit: the tree leaves
+the solver in kappa order, with no sort of the finished tree.
 
 A band that follows a stalled band, one that joined no two components,
 is the last when at most _FINISH_STRAGGLERS points lie outside the
@@ -208,14 +211,13 @@ class MstResult:
 
 
 def _sorted_result(n: int, ei=(), ej=(), w=()) -> MstResult:
-    """The tree with edges (ei, ej, w) in kappa order; no edges by default."""
+    """The tree with edges (ei, ej, w), ei < ej, sorted into kappa order
+    for the oracles; no edges by default."""
     ei = np.asarray(ei, dtype=np.int64)
     ej = np.asarray(ej, dtype=np.int64)
     w = np.asarray(w, dtype=float)
-    lo = np.minimum(ei, ej)
-    hi = np.maximum(ei, ej)
-    order = _kappa_order(lo, hi, w)
-    return MstResult(n=n, edge_i=lo[order], edge_j=hi[order],
+    order = _kappa_order(ei, ej, w)
+    return MstResult(n=n, edge_i=ei[order], edge_j=ej[order],
                      base_weights=w[order])
 
 
@@ -431,14 +433,15 @@ def _boruvka(n_comp: int, a: np.ndarray, b: np.ndarray):
     """Minimum spanning forest of ``n_comp`` components joined by the
     int32 edges (a[k], b[k]), a[k] != b[k], where edge k has rank k.
 
-    Returns the picked positions k, the new component count and each old
-    component's new label.  Ranks are distinct, so the forest is unique
-    and Boruvka's rounds (Boruvka 1926; Nesetril et al., "Otakar Boruvka
-    on minimum spanning tree problem", 2001) pick the edges Kruskal picks
-    in rank order.  Each round every component points across its cheapest
-    edge; two components that pick the same edge point at each other, and
-    the smaller label becomes their root.  Pointer jumping then finds each
-    component's root, and edges inside one new component are dropped.
+    Returns the picked positions k, sorted, the new component count and
+    each old component's new label.  Ranks are distinct, so the forest is
+    unique and Boruvka's rounds (Boruvka 1926; Nesetril et al., "Otakar
+    Boruvka on minimum spanning tree problem", 2001) pick the edges
+    Kruskal picks in rank order.  Each round every component points across
+    its cheapest edge; two components that pick the same edge point at
+    each other, and the smaller label becomes their root.  Pointer jumping
+    then finds each component's root, and edges inside one new component
+    are dropped.
     """
     label = np.arange(n_comp, dtype=np.int32)
     pos = np.arange(len(a), dtype=np.int32)
@@ -478,7 +481,7 @@ def _boruvka(n_comp: int, a: np.ndarray, b: np.ndarray):
         a, b = new[a], new[b]
         keep = a != b
         a, b, pos = a[keep], b[keep], pos[keep]
-    return (np.concatenate(picked) if picked else pos), n_comp, label
+    return (np.sort(np.concatenate(picked)) if picked else pos), n_comp, label
 
 
 def _straggler_rows(weigh, comp, search):
@@ -525,8 +528,8 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit, stalled):
     """Run kappa-Kruskal over one band: the pairs with h < limit that join
     two of the ``n_comp`` components labelled by ``comp``.
 
-    Returns the tree edges (i, j, h) it adds, the new component count and
-    the new labels.
+    Returns the tree edges (i, j, h) it adds, in kappa order, the new
+    component count and the new labels.
 
     Every pair that joins two components has an end outside the largest
     one.  While at most half the points lie outside it, the radius search
@@ -638,7 +641,7 @@ def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
         tree.append(edges)
         radius *= 2.0
     ei, ej, w = (np.concatenate(col) for col in zip(*tree))
-    return _sorted_result(n, ei, ej, w)
+    return MstResult(n, ei.astype(np.int64), ej.astype(np.int64), w)
 
 
 @lru_cache(maxsize=8)
@@ -736,7 +739,7 @@ def mst_with_point(
     order = _kappa_order(ii, jj, ww)
     picked = order[_boruvka(n + 1, ii[order].astype(np.int32),
                             jj[order].astype(np.int32))[0]]
-    return _sorted_result(n + 1, ii[picked], jj[picked], ww[picked])
+    return MstResult(n + 1, ii[picked], jj[picked], ww[picked])
 
 
 class NotASpanningTreeError(ValueError):

@@ -3,6 +3,7 @@ and the README's reproduction commands as real processes."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -156,6 +157,21 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--n", "200") == 2
         assert "point 1 is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--n", "200"),
+        ("invariance", "--n", "20", "--instances", "2"),
+    ])
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys, argv):
+        # exit 1 would report a failed invariant
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("locmst.cli.sample_binomial", no_memory)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "locmst: out of memory\n"
+        assert captured.out == ""
+
 
 class TestStudyCommands:
     N_LIST = "64,96,128,192"
@@ -263,10 +279,11 @@ class TestStudyCommands:
     def test_unfittable_study_is_refused_before_sampling(
         self, tmp_path, monkeypatch, capsys, argv
     ):
-        def no_study(*args, **kwargs):
-            pytest.fail("ran a study that should have been refused")
+        # the refusal comes from the CLI or from the study's own first check
+        def no_draw(*args, **kwargs):
+            pytest.fail("drew points for a study that should have been refused")
 
-        monkeypatch.setattr("locmst.cli.run_weight_study", no_study)
+        monkeypatch.setattr("locmst.experiments.sample_binomial", no_draw)
         path = tmp_path / "records.csv"
         assert run_cli(*argv, "--out-csv", path) == 2
         assert not path.exists()
@@ -341,14 +358,14 @@ CUT_DOWN = {
 }
 
 
-def run_process(argv, cwd):
+def run_process(argv, cwd, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
         [sys.executable, "-m", "locmst.cli", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120, **kwargs,
     )
 
 
@@ -420,3 +437,22 @@ def test_usage_errors_exit_2_as_a_process(tmp_path):
         assert message in proc.stderr, argv
         assert "Warning" not in proc.stderr, argv
     assert not any(tmp_path.iterdir())  # no artifact written
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["invariance", "--n", "60000", "--instances", "1"], "3.35 GiB"),  # pair mask
+    (["simulate", "--n", "300000000"], "4.47 GiB"),  # the coordinates
+])
+def test_out_of_memory_exits_2_as_a_process(tmp_path, argv, size):
+    # the child's address space is capped at about 2.9 GiB, so the
+    # allocation fails at once instead of taking the machine's memory
+    cap = 3_000_000 * 1024
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = run_process(argv, tmp_path, preexec_fn=capped)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"locmst: out of memory: Unable to allocate {size}")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

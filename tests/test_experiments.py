@@ -17,7 +17,6 @@ from locmst.experiments import (
     _event_log10,
     _ols_loglog,
     _sample_in_rect,
-    _sorted_difference,
     _study_task,
     fit_study,
     gap_stat,
@@ -33,7 +32,11 @@ from locmst.experiments import (
     tiled_upper_bound,
 )
 from locmst.geometry import Rect, Tiling, build_tiling, cell_rect, cells_of
-from locmst.mst import DuplicatePointsError, minimum_spanning_tree
+from locmst.mst import (
+    DuplicatePointsError,
+    minimum_spanning_tree,
+    mst_with_point,
+)
 from locmst.sampling import Density, derive_rng, sample_binomial
 from locmst.weights import (
     euclidean_spec,
@@ -500,22 +503,29 @@ class TestGoodSquareProbe:
         a = 1.0 / rep.s
         assert rep.increments[0] == pytest.approx(15 * a, rel=1e-9)
 
-    @pytest.mark.parametrize("case", ["random", "empty", "disjoint", "equal"])
-    def test_sorted_difference_is_setdiff1d(self, case):
-        rng = np.random.default_rng(7)
-        for size in (0, 1, 2, 50, 3000):
-            a = np.unique(rng.integers(0, 4 * size + 1, size))
-            b = np.unique(rng.integers(0, 4 * size + 1, size))
-            if case == "empty":
-                a, b = (a, b[:0]) if size % 2 else (a[:0], b)
-            elif case == "disjoint":  # b all below, between or above a
-                b = np.setdiff1d(np.arange(-3, 4 * size + 4), a)[::3]
-            elif case == "equal":
-                b = a.copy()
-            for x, y in ((a, b), (b, a)):
-                got = _sorted_difference(x, y)
-                np.testing.assert_array_equal(got, np.setdiff1d(x, y))
-                assert got.dtype == x.dtype
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_diff_when_the_point_removes_edges(self, monkeypatch, seed):
+        # x in the moat removes no edge, as the paper predicts.  At the
+        # centroid of a background point and two of its tree neighbours it
+        # joins all three, so the tree loses one or two edges
+        trees = []
+
+        def among_the_background(spec, coords, tree, x):
+            k = np.flatnonzero(tree.edge_i >= 12)  # not a satellite's edge
+            j = tree.edge_j[k[len(k) // 2]]
+            near = np.r_[tree.edge_i[tree.edge_j == j], tree.edge_j[tree.edge_i == j]]
+            x = coords[np.r_[j, near[:2]]].mean(axis=0)
+            trees[:] = tree, mst_with_point(spec, coords, tree, x)
+            return trees[1]
+
+        monkeypatch.setattr("locmst.experiments.mst_with_point",
+                            among_the_background)
+        rep = good_square_probe(5, n=300, alpha=1.0, seed=seed)
+        old, new = (t.edge_set() for t in trees)
+        assert rep.removed_edges == tuple(sorted(old - new))
+        assert rep.added_edges == tuple(sorted(new - old))
+        assert len(rep.added_edges) == len(rep.removed_edges) + 1 >= 2
+        assert not rep.edge_ok
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):

@@ -274,8 +274,12 @@ def test_malformed_coordinate_arrays_raise_typed_error(solver):
 
 
 def assert_same_tree(got, want):
-    """Same edges in the same order, and bit-identical base weights."""
+    """Same edges in the same order, int64 on both sides (the pinned tree
+    hashes in test_weights.py cover their bytes), and bit-identical base
+    weights."""
     assert got.n == want.n
+    for tree in (got, want):
+        assert tree.edge_i.dtype == tree.edge_j.dtype == np.int64
     np.testing.assert_array_equal(got.edge_i, want.edge_i)
     np.testing.assert_array_equal(got.edge_j, want.edge_j)
     np.testing.assert_array_equal(got.base_weights, want.base_weights)
@@ -369,24 +373,48 @@ def watched_bands():
     Yields a mock whose ``mock_calls`` hold, in call order, the calls of
     `_band_forest` ("band"), `_grid_neighbours` ("grid") and
     `_straggler_rows` ("rows").  Each call of `_cheapest_per_component_pair`
-    is checked to get every pair at most once, as it requires.
+    is checked to get every pair at most once, as it requires.  The edges
+    of a solve's bands must come out strictly increasing in kappa, within
+    each band and from one band to the next, since `mst_bands` does not
+    sort them.  For the same reason `_sorted_result`, the oracles' sort,
+    must not be reached for a tree with an edge.
     """
     calls = mock.Mock()
     cheapest = mst_module._cheapest_per_component_pair
+    sorted_result = mst_module._sorted_result
+    last = []  # the kappa of the solve's last band edge so far
 
     def each_pair_once(comp, n_comp, i, j, h):
         key = i.astype(np.int64) * len(comp) + j
         assert len(np.unique(key)) == len(key), "a pair arrived twice"
         return cheapest(comp, n_comp, i, j, h)
 
+    def band_in_kappa_order(*args):
+        out = _band_forest(*args)
+        i, j, h = out[0]
+        comp, n_comp = args[4], args[5]
+        if n_comp == len(comp):  # a new solve, or no edge yet in this one
+            last.clear()
+        kappas = last + list(zip(h.tolist(), i.tolist(), j.tolist()))
+        assert all(a < b for a, b in zip(kappas, kappas[1:])), "out of kappa order"
+        last[:] = kappas[-1:]
+        return out
+
+    def no_tree_sort(n, *edges):
+        assert n < 2, "a finished tree was sorted again"
+        return sorted_result(n, *edges)
+
     with contextlib.ExitStack() as patches:
-        for name, fn in (("band", _band_forest), ("grid", _grid_neighbours),
-                         ("rows", _straggler_rows)):
+        for name, attr, fn in (("band", "_band_forest", band_in_kappa_order),
+                               ("grid", "_grid_neighbours", _grid_neighbours),
+                               ("rows", "_straggler_rows", _straggler_rows)):
             spy = mock.Mock(wraps=fn)
             calls.attach_mock(spy, name)
-            patches.enter_context(mock.patch.object(mst_module, fn.__name__, spy))
+            patches.enter_context(mock.patch.object(mst_module, attr, spy))
         patches.enter_context(mock.patch.object(
             mst_module, "_cheapest_per_component_pair", each_pair_once))
+        patches.enter_context(mock.patch.object(
+            mst_module, "_sorted_result", no_tree_sort))
         yield calls
 
 
@@ -659,8 +687,10 @@ def test_adding_a_point_equals_a_fresh_solve(family, kind, n, seed):
     spec = spec_from_kind(kind)
     pts = band_instance(family, n + 1, np.random.default_rng(seed))
     coords, x = pts[:-1], pts[-1]
-    got = mst_with_point(spec, coords, minimum_spanning_tree(spec, coords), x)
-    assert_same_tree(got, minimum_spanning_tree(spec, pts))
+    with watched_bands():  # neither path sorts its finished tree
+        got = mst_with_point(spec, coords, minimum_spanning_tree(spec, coords), x)
+        want = minimum_spanning_tree(spec, pts)
+    assert_same_tree(got, want)
 
 
 @pytest.mark.parametrize("kind", KINDS)
