@@ -96,6 +96,7 @@ def gap_stat_monotonicity(
 
     Returns (verdict, before, after).
     """
+    _check_alphas((alpha,))
     coords = np.asarray(coords, dtype=float).reshape(-1, 2)
     added = np.vstack([coords, np.asarray(extra, dtype=float).reshape(1, 2)])
     cells = cells_of(tiling, added)  # the added point's cell comes last
@@ -149,6 +150,7 @@ def lower_bound_stat(
     and nothing is forced, so G counts zero there.  Point sets of size
     one are rejected outright.
     """
+    _check_alphas((alpha,))
     coords = np.asarray(coords, dtype=float)
     if len(coords) == 1:
         raise ValueError("need zero or at least two points")
@@ -182,6 +184,7 @@ def tiled_upper_bound(
     pair (lowest index in each cell).  Its weight W_uni satisfies
     MST <= W_uni <= (2 c2 cell_side)**alpha * (n + S_alpha).
     """
+    _check_alphas((alpha,))
     coords = np.asarray(coords, dtype=float)
     n = len(coords)
     if n == 0:
@@ -226,6 +229,7 @@ def one_node_difference(
     X_j; f2 = (2 c2)**alpha * sum of d(X_j, v)**alpha over X_j's tree
     neighbours prices rerouting around its removal.
     """
+    _check_alphas((alpha,))
     coords = np.asarray(coords, dtype=float)
     n = len(coords)
     if not 0 <= j < n:
@@ -262,6 +266,7 @@ def merge_bound_check(
     Joining every extra point to its nearest point of A gives a spanning
     graph whose weight dominates the merged MST.
     """
+    _check_alphas((alpha,))
     coords1 = np.asarray(coords1, dtype=float).reshape(-1, 2)
     coords2 = np.asarray(coords2, dtype=float).reshape(-1, 2)
     if len(coords1) < 1:

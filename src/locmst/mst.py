@@ -36,15 +36,14 @@ later points of its own cell, the cell above and the next column, and
 every pair is enumerated once instead of from both ends.  That is exact
 too: it yields the same pair set, only without the repeats.
 
-Within a band, the cheapest pair between each two components, taken in
-kappa order, is an edge of the component graph whose kappa rank is its
-position.  Ranks are distinct, so the graph has one minimum spanning
-forest, and Boruvka's algorithm (``_boruvka``, numpy rounds of cheapest
-edge per component) finds the same forest that Kruskal over the ranks
-would.  It needs no sparse matrix.  Its picked ranks, sorted, give the
-band's edges in kappa order, and each band's edges lie above the last
-band's, which took every joining pair below its limit: the tree leaves
-the solver in kappa order, with no sort of the finished tree.
+A band's joining pairs, in kappa order, are the edges of the component
+multigraph, each ranked by its position.  The ranks are distinct, so
+Boruvka's algorithm (``_boruvka``, numpy rounds of cheapest edge per
+component) picks Kruskal's forest.  It needs no sparse matrix.  Its
+picked ranks, sorted, give the band's edges in kappa order, and each
+band's edges lie above the last band's, which took every joining pair
+below its limit: the tree leaves the solver in kappa order, with no sort
+of the finished tree.
 
 A band that follows a stalled band, one that joined no two components,
 is the last when at most _FINISH_STRAGGLERS points lie outside the
@@ -53,9 +52,9 @@ stragglers, so it prices their full rows (``_straggler_rows``) instead
 of searching a radius, cuts each row to its kappa-cheapest pair to each
 other component, and Boruvka over those pairs completes the tree.  The
 kappa-minimal pair between two components is the cheapest of its own
-rows, so this too is exact.  It replaces the bands that double the radius
-until it reaches far points, such as the good-square probe's satellites
-across their empty moat.
+rows, so the cut drops no edge of Kruskal's forest.  It replaces the
+bands that double the radius until it reaches far points, such as the
+good-square probe's satellites across their empty moat.
 
 ``mst_with_point(spec, coords, tree, x)`` adds one point to a solved tree
 without solving again.  The tree of X and x lies in the tree of X plus
@@ -102,7 +101,7 @@ _KRUSKAL_MAX_N = 160
 # entries, so the small-n paths take views instead of building them.
 _PAIR_J, _PAIR_I = np.tril_indices(_KRUSKAL_MAX_N, k=-1)
 _PAIR_I.flags.writeable = _PAIR_J.flags.writeable = False
-# Candidate pairs `mst_bands` holds at once, before the per-chunk reduction.
+# Pairs priced at once by a grid chunk or a block of rows.
 _BAND_CHUNK = 1 << 14
 # A band keeps pairs with h < lam * R * (1 - _BAND_SLACK), so that float
 # rounding can never put such a pair outside the radius-R search.
@@ -354,24 +353,6 @@ def _kappa_order(i, j, h) -> np.ndarray:
     return order
 
 
-def _cheapest_per_component_pair(comp, n_comp, i, j, h) -> np.ndarray:
-    """Positions of the kappa-minimal pair between each two components,
-    in kappa order; each pair (i < j) must arrive at most once."""
-    by_kappa = _kappa_order(i, j, h)
-    if n_comp == len(comp) or len(h) == 0:
-        return by_kappa  # single points: each pair is its own component pair
-    a, b = comp[i[by_kappa]], comp[j[by_kappa]]
-    key = np.minimum(a, b).astype(np.int64)
-    key *= n_comp
-    key += np.maximum(a, b)
-    del a, b
-    by_key = np.argsort(key)
-    key = key[by_key]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    del key
-    return by_kappa[np.sort(np.minimum.reduceat(by_key, first))]
-
-
 def _grid_neighbours(coords, lo, cell, search):
     """Yield (s, p) chunks of pairs from neighbouring grid cells.
 
@@ -544,12 +525,12 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit, stalled):
     After a ``stalled`` band, one that joined no two components, with at
     most _FINISH_STRAGGLERS points outside the largest component, the band
     is the last: it takes every pair, whatever ``limit``, from those
-    points' full rows (`_straggler_rows`), and no grid search runs.
+    points' full rows, each cut to its cheapest pair to each other
+    component (`_straggler_rows`), and no grid search runs.
 
-    The band's cheapest pairs between two components, in kappa order, are
-    the edges of the component graph, and a pair's position is its kappa
-    rank.  Ranks are distinct, so Boruvka's forest on them (`_boruvka`) is
-    the forest kappa-Kruskal builds.
+    The band's joining pairs, in kappa order, are the edges of the
+    component multigraph, each ranked by its position.  The ranks are
+    distinct, so Boruvka (`_boruvka`) picks Kruskal's forest.
     """
     n = len(comp)
     singles = n_comp == n
@@ -559,10 +540,8 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit, stalled):
     def keep(s, p):
         h = weigh(s, p)
         inside = h < limit
-        s, p, h = s[inside], p[inside], h[inside]
-        i, j = np.minimum(s, p), np.maximum(s, p)
-        best = _cheapest_per_component_pair(comp, n_comp, i, j, h)
-        found.append((i[best], j[best], h[best]))
+        s, p = s[inside], p[inside]
+        found.append((np.minimum(s, p), np.maximum(s, p), h[inside]))
 
     search = np.arange(n, dtype=np.int32)
     if not singles:
@@ -592,9 +571,9 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit, stalled):
         # transients set the solver's peak memory
         i, j, h = (np.concatenate(col) for col in zip(*found))
         del found
-    best = _cheapest_per_component_pair(comp, n_comp, i, j, h)
-    i, j, h = i[best], j[best], h[best]
-    del best
+    by_kappa = _kappa_order(i, j, h)
+    i, j, h = i[by_kappa], j[by_kappa], h[by_kappa]
+    del by_kappa
     picked, n_comp, label = _boruvka(n_comp, comp[i], comp[j])
     return (i[picked], j[picked], h[picked]), n_comp, label[comp]
 
@@ -838,12 +817,24 @@ def alpha_invariance_check(
     n = len(coords)
     if n < 2:
         return True
-    h = row_weight_fn(spec, coords)(*_pairs(n))
+    # the pairs' weights, priced in blocks of rows into one array: no
+    # n x n index mask
+    row = row_weight_fn(spec, coords)
+    at = np.arange(n)
+    h = np.empty(n * (n - 1) // 2)
+    end = 0
+    step = max(1, _BAND_CHUNK // n)
+    for k in range(0, n - 1, step):
+        s = at[k:k + step, None]
+        block = row(s, at)[at > s]
+        h[end:end + len(block)] = block
+        end += len(block)
     h.sort()
     for alpha in alphas:
-        w = h**alpha
+        w = h**alpha  # numpy's power: its 0.5 and 2 fast paths are in the verdict
         if not (w[1:] >= w[:-1]).all():
             return False
+        del w
     return True
 
 
@@ -858,6 +849,7 @@ def scale_check(
 
     Returns (scaled total, a**alpha * original total, same_edge_set).
     """
+    _check_alphas((alpha,))
     if not spec.homogeneous:
         raise SpecMissingPropertyError(f"{spec.kind} weights are not homogeneous")
     if a <= 0:
@@ -879,6 +871,7 @@ def translate_check(
 
     Returns (shifted total, bound, holds).
     """
+    _check_alphas((alpha,))
     if spec.h0 is None:
         raise SpecMissingPropertyError(
             f"{spec.kind} weights have no translation constant"

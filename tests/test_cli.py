@@ -440,7 +440,7 @@ def test_usage_errors_exit_2_as_a_process(tmp_path):
 
 
 @pytest.mark.parametrize("argv, size", [
-    (["invariance", "--n", "60000", "--instances", "1"], "3.35 GiB"),  # pair mask
+    (["invariance", "--n", "60000", "--instances", "1"], "13.4 GiB"),  # pair weights
     (["simulate", "--n", "300000000"], "4.47 GiB"),  # the coordinates
 ])
 def test_out_of_memory_exits_2_as_a_process(tmp_path, argv, size):

@@ -36,6 +36,8 @@ from locmst.mst import (
     DuplicatePointsError,
     minimum_spanning_tree,
     mst_with_point,
+    scale_check,
+    translate_check,
 )
 from locmst.sampling import Density, derive_rng, sample_binomial
 from locmst.weights import (
@@ -357,6 +359,30 @@ class TestDeterministicBounds:
             merge_bound_check(
                 euclidean_spec(), np.empty((0, 2)), np.zeros((2, 2)), 1.0
             )
+
+
+def _verifier_calls():
+    pts = np.random.default_rng(4).random((20, 2))
+    t = build_tiling(20)
+    spec = euclidean_spec()
+    return {
+        "lower_bound_stat": lambda a: lower_bound_stat(spec, t, pts, a),
+        "tiled_upper_bound": lambda a: tiled_upper_bound(spec, t, pts, a),
+        "one_node_difference": lambda a: one_node_difference(spec, pts, 0, a),
+        "merge_bound_check": lambda a: merge_bound_check(spec, pts[:10], pts[10:], a),
+        "gap_stat_monotonicity": lambda a: gap_stat_monotonicity(t, pts, a, [0.5, 0.5]),
+        "scale_check": lambda a: scale_check(spec, pts, 2.0, a),
+        "translate_check": lambda a: translate_check(spec, pts, [0.1, 0.2], a),
+    }
+
+
+@pytest.mark.parametrize("alpha", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("verifier", sorted(_verifier_calls()))
+def test_verifiers_refuse_an_alpha_not_positive_and_finite(verifier, alpha):
+    # the paper's inequalities need 0 < alpha < inf; outside it a verdict
+    # either way would be read as the paper's claim failing or holding
+    with pytest.raises(ValueError, match="alpha"):
+        _verifier_calls()[verifier](alpha)
 
 
 class TestOneCellPass:

@@ -10,6 +10,7 @@ solvers against both.
 import contextlib
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -372,25 +373,29 @@ def watched_bands():
 
     Yields a mock whose ``mock_calls`` hold, in call order, the calls of
     `_band_forest` ("band"), `_grid_neighbours` ("grid") and
-    `_straggler_rows` ("rows").  Each call of `_cheapest_per_component_pair`
-    is checked to get every pair at most once, as it requires.  The edges
-    of a solve's bands must come out strictly increasing in kappa, within
-    each band and from one band to the next, since `mst_bands` does not
-    sort them.  For the same reason `_sorted_result`, the oracles' sort,
+    `_straggler_rows` ("rows").  Each band sorts its pairs with one call of
+    `_kappa_order`, which is checked to get every pair at most once: the
+    half stencil and the giant and lower-index rules find each pair only
+    once, so its tie runs stay short.  The edges of a solve's bands must
+    come out strictly increasing in kappa, within each band and from one
+    band to the next, since `mst_bands` does not sort them.  For the same reason `_sorted_result`, the oracles' sort,
     must not be reached for a tree with an edge.
     """
     calls = mock.Mock()
-    cheapest = mst_module._cheapest_per_component_pair
     sorted_result = mst_module._sorted_result
     last = []  # the kappa of the solve's last band edge so far
+    sorts = []  # the band's calls of `_kappa_order`
 
-    def each_pair_once(comp, n_comp, i, j, h):
-        key = i.astype(np.int64) * len(comp) + j
+    def each_pair_once(i, j, h):
+        sorts.append(len(h))
+        key = (i.astype(np.int64) << 32) | j
         assert len(np.unique(key)) == len(key), "a pair arrived twice"
-        return cheapest(comp, n_comp, i, j, h)
+        return _kappa_order(i, j, h)
 
     def band_in_kappa_order(*args):
+        sorts.clear()
         out = _band_forest(*args)
+        assert len(sorts) == 1, "a band did not sort its pairs exactly once"
         i, j, h = out[0]
         comp, n_comp = args[4], args[5]
         if n_comp == len(comp):  # a new solve, or no edge yet in this one
@@ -412,7 +417,7 @@ def watched_bands():
             calls.attach_mock(spy, name)
             patches.enter_context(mock.patch.object(mst_module, attr, spy))
         patches.enter_context(mock.patch.object(
-            mst_module, "_cheapest_per_component_pair", each_pair_once))
+            mst_module, "_kappa_order", each_pair_once))
         patches.enter_context(mock.patch.object(
             mst_module, "_sorted_result", no_tree_sort))
         yield calls
@@ -1138,6 +1143,19 @@ def test_alpha_invariance_refuses_alpha_not_positive(alphas):
     pts = np.random.default_rng(0).random((10, 2))
     with pytest.raises(ValueError, match="alpha"):
         alpha_invariance_check(euclidean_spec(), pts, alphas)
+
+
+def test_alpha_invariance_holds_one_weight_per_pair():
+    # 4.5 M pairs: their weights and one power of them take 72 MB, so an
+    # index array over the pairs (36 MB or more) would break the bound
+    pts = np.random.default_rng(0).random((3000, 2))
+    tracemalloc.start()
+    try:
+        assert alpha_invariance_check(euclidean_spec(), pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
 
 
 class TestScaleTranslate:

@@ -281,3 +281,24 @@ def test_pair_weights_and_tree_are_pinned(kind):
                  tree.base_weights):
         digest.update(np.ascontiguousarray(part).tobytes())
     assert digest.hexdigest() == WEIGHT_PINS[kind]
+
+
+# The trees of 2^16 uniform points at seed 2024: two bands for each kind,
+# the second joining a few hundred components, and on hotspot weights 18
+# discount points whose full rows feed both bands.  SHA-256 over the bits
+# of edge_i, edge_j and base_weights.
+LARGE_TREE_PINS = {
+    "euclidean": "8774dcdb21a20220769e9f40f482c2bb2c6267a8071c18a647baa418c2fed0d0",
+    "hotspot": "923e559193c4e40cd29affc9c98ea58ace6b10e1551d7f13b02ca64ace6059c1",
+    "shifted": "8c0a887bec167521a6c5d32b38a94fb79ea4f6fd053111ba1a01d7c937213c5d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_TREE_PINS))
+def test_large_trees_are_pinned(kind):
+    pts = np.random.default_rng(2024).random((1 << 16, 2))
+    tree = minimum_spanning_tree(spec_from_kind(kind), pts)
+    digest = hashlib.sha256()
+    for part in (tree.edge_i, tree.edge_j, tree.base_weights):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    assert digest.hexdigest() == LARGE_TREE_PINS[kind]
