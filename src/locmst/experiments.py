@@ -16,11 +16,12 @@ computation on concrete point sets:
 from __future__ import annotations
 
 import math
-import multiprocessing
+import mmap
 import os
+import pickle
+import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -615,16 +616,18 @@ class StudyResult:
 
 
 # Points, reps * sum(n_list), from which a study with threads=None forks
-# workers.  On a 2-core VM (Python 3.11, fork), starting and joining two
-# workers costs about 23 ms and each task adds about 0.5 ms of dispatch,
-# against 3-11 us per point in one process.  Median ms in one process /
-# in two workers, euclidean, shifted, hotspot, alphas 1 and 2:
-# n = 256..2048, 3 reps (11 520 points): 60/70, 63/68, 48/69;
-# n = 256..4096, 3 reps (23 808 points): 98/88, 122/104, 110/99;
-# n = 64..512, 30 reps (28 800 points): 256/231, 242/251, 236/233;
-# n = 256..8192, 2 reps (32 256 points): 126/99, 138/110, 129/108;
-# n = 256..8192, 3 reps (48 384 points): 154/137, 211/153, 212/154.
-_POOL_MIN_POINTS = 1 << 15
+# children.  On a 2-core VM (Python 3.11), forking one child and reaping
+# it costs about 4 ms (median of 30 maps of four trivial tasks) and a
+# claim two pipe syscalls, against 3-11 us per point in one process.
+# Median ms in one process / in this one and one child, euclidean,
+# shifted, hotspot, alphas 1 and 2, 15 alternating pairs (7 in the last):
+# n = 256..512, 2 reps (1 536 points): 13/18, 13/18, 13/18;
+# n = 256..1024, 2 reps (3 584 points): 19/22, 25/23, 22/20;
+# n = 64..256, 10 reps (4 480 points): 44/36, 49/38, 50/39;
+# n = 256..2048, 2 reps (7 680 points): 37/31, 44/32, 38/31;
+# n = 64..192, 30 reps (14 400 points): 164/103, 170/103, 164/109;
+# n = 256..8192, 3 reps (48 384 points): 176/101, 201/117, 188/115.
+_POOL_MIN_POINTS = 1 << 12
 
 
 def _study_task(args) -> tuple:
@@ -653,7 +656,8 @@ def _check_study(n_list, reps: int, alphas, threads=None) -> None:
     if len(set(alphas)) < len(alphas):
         raise ValueError(f"repeated alpha in {list(alphas)}")
     _check_alphas(alphas)
-    if threads is not None and (not isinstance(threads, int) or threads < 1):
+    if threads is not None and (isinstance(threads, bool)
+                                or not isinstance(threads, int) or threads < 1):
         raise ValueError("threads must be >= 1")
 
 
@@ -669,33 +673,91 @@ def _check_fittable(quantity: str, n_list, reps: int) -> None:
         raise ValueError("need at least four sizes")
 
 
-def _start_method() -> str:
-    """The start method a pool would use, without fixing the default."""
-    return (multiprocessing.get_start_method(allow_none=True)
-            or multiprocessing.get_all_start_methods()[0])
+def _fork_map(fn, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks], shared by this process and workers - 1
+    children forked once.
 
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _study_workers(threads: int | None, tasks: int, points: int) -> int:
-    """Worker processes for a study; 1 runs it in this process.
-
-    threads=None picks one worker per usable core, but only for a study
-    of at least _POOL_MIN_POINTS points and only where workers are
-    forked: spawned ones would import numpy and locmst afresh.  A
-    process that runs other threads is not forked, since a lock one of
-    them holds would stay locked in the worker.
+    Each process claims one task at a time from the unclaimed range
+    [lo, hi), two int64s in shared memory, under a lock that is a
+    one-byte pipe (read to take it, write to give it back).  Children
+    claim from the front and this process from the back, so with tasks
+    sorted largest first it solves the small ones.  A child sends its
+    (position, result) pairs once, pickled, down its own pipe.  An
+    exception in any process empties the range and is raised here as it
+    is; a child that dies raises ChildProcessError.  Every child has been
+    reaped and every pipe closed when the call returns or raises.
     """
-    if threads is None:
-        if (points < _POOL_MIN_POINTS or _start_method() != "fork"
-                or threading.active_count() > 1):
-            return 1
-        threads = _usable_cores()
-    return min(threads, tasks)
+    span = memoryview(mmap.mmap(-1, 16)).cast("q")
+    span[1] = len(tasks)
+    lock_r, lock_w = os.pipe()
+    os.write(lock_w, b"-")
+
+    def claim(front: bool, stop: bool = False) -> int | None:
+        os.read(lock_r, 1)
+        try:
+            lo, hi = span
+            if stop or lo >= hi:
+                span[0] = hi
+                return None
+            if front:
+                span[0] = lo + 1
+                return lo
+            span[1] = hi - 1
+            return hi - 1
+        finally:
+            os.write(lock_w, b"-")
+
+    def share(front: bool) -> list:
+        done = []
+        while (k := claim(front)) is not None:
+            done.append((k, fn(tasks[k])))
+        return done
+
+    pids, pipes, sent = [], [], []
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                if (pid := os.fork()) == 0:
+                    code = 1
+                    try:
+                        for fd in pipes:
+                            os.close(fd)
+                        try:
+                            payload = (True, share(front=True))
+                        except BaseException as exc:
+                            claim(True, stop=True)  # the others stop early
+                            payload = (False, exc)
+                        with open(w, "wb", closefd=False) as out:
+                            out.write(pickle.dumps(payload))
+                        code = 0
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        done = share(front=False)
+        for r in pipes:
+            with open(r, "rb", closefd=False) as src:
+                sent.append(src.read())
+    finally:
+        claim(False, stop=True)
+        for fd in (*pipes, lock_r, lock_w):  # a child still writing: EPIPE
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid in pids]
+    for pid, code, data in zip(pids, codes, sent):
+        if code:
+            import signal  # only to name it
+            how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                   else f"exited with {code}")
+            raise ChildProcessError(f"study worker {pid} {how}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        done += value
+    return [result for _, result in sorted(done, key=lambda kr: kr[0])]
 
 
 def run_weight_study(
@@ -714,39 +776,37 @@ def run_weight_study(
     sampled instance is solved once and scored at every requested
     exponent.
 
-    threads=k runs the replicates in k worker processes (never more than
-    there are tasks), and threads=1 runs them in this process.  The
-    default, threads=None, uses every usable core when the study has at
-    least _POOL_MIN_POINTS points in all (reps * sum(n_list)), workers
-    are forked and no other thread runs here, and this process otherwise.  Workers take the largest
-    instances first, one at a time, and every worker has exited when the
-    call returns.  Results are folded in task order either way, so the
-    output is identical apart from ``runtime_ms``.
+    threads=k runs the replicates in k processes (never more than there
+    are tasks): this one and k - 1 children it forks, where os.fork
+    exists.  threads=1 runs them here alone.  The default, threads=None,
+    uses every usable core when the study has at least _POOL_MIN_POINTS
+    points in all (reps * sum(n_list)), this process runs on Linux and
+    no other thread runs here, whatever multiprocessing's default start
+    method is; otherwise this process runs the study alone.  Children
+    take the largest instances first and this process the smallest, one
+    at a time, and every child has exited when the call returns.
+    Results are folded in task order either way, so the output is
+    identical apart from ``runtime_ms``.
     """
     n_list = tuple(int(n) for n in n_list)
     alphas = tuple(float(a) for a in alphas)
     _check_study(n_list, reps, alphas, threads)
     spec_from_kind(weight_kind)  # refuses an unknown kind before any draw
-    tasks = [
+    pos = {n: i for i, n in enumerate(n_list)}
+    tasks = [  # largest first
         (weight_kind, n, rep, seed, alphas)
-        for n in n_list
+        for n in sorted(n_list, reverse=True)
         for rep in range(reps)
     ]
-    workers = _study_workers(threads, len(tasks), reps * sum(n_list))
-    if workers > 1:
-        # longest first: a stable sort by decreasing n
-        order = sorted(range(len(tasks)), key=lambda k: -tasks[k][1])
-        outcomes = [None] * len(tasks)
-        context = multiprocessing.get_context(_start_method())
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            done = pool.map(_study_task, [tasks[k] for k in order])
-            for k, outcome in zip(order, done):
-                outcomes[k] = outcome
-    else:
-        outcomes = [_study_task(t) for t in tasks]
+    if threads is None:  # a lock another thread held stays locked in a child
+        forks = (reps * sum(n_list) >= _POOL_MIN_POINTS
+                 and sys.platform == "linux" and threading.active_count() == 1)
+        threads = len(os.sched_getaffinity(0)) if forks else 1
+    workers = min(threads, len(tasks)) if hasattr(os, "fork") else 1
+    outcomes = sorted(_fork_map(_study_task, tasks, workers),
+                      key=lambda o: (pos[o[0]], o[1]))  # back in task order
     weights = {a: np.empty((len(n_list), reps)) for a in alphas}
     records = []
-    pos = {n: i for i, n in enumerate(n_list)}
     for (n, rep, totals, s_alphas, g_count, max_deg, ms) in outcomes:
         for a in alphas:
             weights[a][pos[n], rep] = totals[a]

@@ -260,6 +260,21 @@ class TestStudyCommands:
         assert {ln.split(",")[column] for ln in lines[1:]} == {command}
         assert len(lines) == 1 + 4 * 200
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="studies fork their children on Linux")
+    def test_out_of_memory_in_a_study_child_exits_2(self, monkeypatch, capsys,
+                                                    child_first):
+        def no_memory():
+            raise MemoryError
+
+        monkeypatch.setattr("locmst.experiments._study_task",
+                            child_first(no_memory))
+        assert run_cli("scaling", "--n-list", self.N_LIST, "--reps", "30",
+                       "--threads", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "locmst: out of memory\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -3,8 +3,11 @@
 import hashlib
 import math
 import multiprocessing
+import os
+import signal
+import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from locmst.experiments import (
     EmptyPointSetError,
     StudyResult,
     _event_log10,
+    _fork_map,
     _ols_loglog,
     _sample_in_rect,
     _study_task,
@@ -60,6 +64,52 @@ def assert_same_study(got: StudyResult, want: StudyResult) -> None:
                 for r in study.records]
 
     assert untimed(got) == untimed(want)
+
+
+def no_fork():
+    pytest.fail("forked for a study that should run in one process")
+
+
+needs_fork = pytest.mark.skipif(sys.platform != "linux",
+                                reason="studies fork their children on Linux")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The children locmst.experiments forks, as they start."""
+    started = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr("locmst.experiments.os.fork", counted)
+    return started
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def deadline():
+    """Turns a study that hangs into a TimeoutError after 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the study hung")
+
+    before = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, before)
 
 
 def centers_of_cells(tiling: Tiling, indices) -> np.ndarray:
@@ -624,17 +674,21 @@ class TestStudiesAndFits:
         )
         assert len(a.records) == 2 * 3 * 2  # sizes x reps x alphas
 
-    def test_process_pool_matches_the_serial_study(self):
+    @needs_fork
+    def test_process_pool_matches_the_serial_study(self, forks):
         # sizes on both sides of the Kruskal / band-solver switch at n = 160;
-        # the 16 tasks go out one at a time, largest first, so both workers
-        # take some and their outcomes come back out of task order
+        # the 16 tasks are claimed one at a time, the child from the largest
+        # end and this process from the smallest, so both take some and
+        # their outcomes come back out of task order
         kwargs = dict(n_list=(48, 64, 200, 300), reps=4, alphas=(1.0, 2.0),
                       seed=4)
         serial = run_weight_study("hotspot", **kwargs)
+        assert forks == []
         method = multiprocessing.get_start_method(allow_none=True)
         pooled = run_weight_study("hotspot", threads=2, **kwargs)
-        assert multiprocessing.active_children() == []  # workers joined
-        # the pool's start method is read, never fixed for the process
+        assert len(forks) == 1
+        assert_no_child_left()
+        # no start method is read or fixed for the process
         assert multiprocessing.get_start_method(allow_none=True) == method
         assert_same_study(pooled, serial)
 
@@ -672,7 +726,8 @@ class TestStudiesAndFits:
          # n = 2 has no tiling; the n = 2000 instances must not be solved first
          ((2000, 2), 2, (1.0,), None), ((32, 0), 2, (1.0,), None),
          ((32, 48), 3, (1.0,), 0), ((32, 48), 3, (1.0,), -5),
-         ((32, 48), 3, (1.0,), 2.0), ((32, 48), 3, (1.0, math.inf), None)],
+         ((32, 48), 3, (1.0,), 2.0), ((32, 48), 3, (1.0, math.inf), None),
+         ((32, 48), 3, (1.0,), True)],
     )
     def test_study_validation(self, monkeypatch, n_list, reps, alphas, threads):
         # every refusal comes before the first point is drawn
@@ -688,13 +743,13 @@ class TestStudiesAndFits:
                              [((64, 128), 1), ((16384, 20000), 2)])
     def test_study_validation_refuses_an_unknown_kind(self, monkeypatch,
                                                       n_list, threads):
-        # refused before the first point is drawn and before any pool
-        # starts; the second grid is above _POOL_MIN_POINTS
+        # refused before the first point is drawn and before any child is
+        # forked; the second grid is above _POOL_MIN_POINTS
         def no_sampling(*args, **kwargs):
             pytest.fail("sampled a study that should have been refused")
 
         monkeypatch.setattr("locmst.experiments.sample_binomial", no_sampling)
-        monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr("locmst.experiments.os.fork", no_fork)
         with pytest.raises(ValueError, match="unknown weight kind 'bogus'"):
             run_weight_study("bogus", n_list, reps=2, alphas=(1.0,),
                              threads=threads)
@@ -718,75 +773,51 @@ class TestStudiesAndFits:
             fit_study(study, 2.0, "mean")
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor and starts no process: records
-    the pool size and the sizes in dispatch order, and runs the tasks here."""
-
-    def __init__(self, max_workers, mp_context=None):
-        self.workers = max_workers
-        self.dispatched = []
-        self.started.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        for task in tasks:
-            self.dispatched.append(task[1])  # the task's n
-            yield fn(task)
-
-
-class NoPool:
-    def __init__(self, *args, **kwargs):
-        pytest.fail("started a pool for a study that should run serially")
-
-
+@needs_fork
 class TestStudyWorkers:
     N_LIST = (48, 150, 200, 300)
+    # above the threshold, with sizes on both sides of the Kruskal /
+    # band-solver switch at n = 160
+    KWARGS = dict(n_list=N_LIST, reps=-(-_POOL_MIN_POINTS // sum(N_LIST)),
+                  alphas=(1.0, 2.0), seed=6)
 
     @pytest.fixture
     def recorder(self, monkeypatch):
-        RecordingPool.started = []
-        monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor",
-                            RecordingPool)
-        return RecordingPool.started
+        """Stands in for _fork_map and forks nothing: records the process
+        count and the sizes in claiming order, and runs the tasks here."""
+        calls = []
+
+        def recording_map(fn, tasks, workers):
+            calls.append((workers, [task[1] for task in tasks]))
+            return [fn(task) for task in tasks]
+
+        monkeypatch.setattr("locmst.experiments._fork_map", recording_map)
+        return calls
 
     @pytest.fixture
-    def fork(self, monkeypatch):
-        """Two usable cores and forked workers, whatever this machine has."""
-        monkeypatch.setattr("locmst.experiments._usable_cores", lambda: 2)
-        monkeypatch.setattr("locmst.experiments._start_method", lambda: "fork")
+    def two_cores(self, monkeypatch):
+        """Two usable cores, whatever this machine has."""
+        monkeypatch.setattr("locmst.experiments.os.sched_getaffinity",
+                            lambda pid: {0, 1})
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return {kind: run_weight_study(kind, threads=1, **self.KWARGS)
+                for kind in ("euclidean", "shifted", "hotspot")}
 
     @pytest.mark.parametrize("kind", ["euclidean", "shifted", "hotspot"])
-    def test_automatic_pool_matches_the_serial_study(self, fork, monkeypatch,
-                                                     kind):
-        # a real pool of two forked workers, above the threshold, with sizes
-        # on both sides of the Kruskal / band-solver switch at n = 160
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("workers cannot be forked here")
-        reps = -(-_POOL_MIN_POINTS // sum(self.N_LIST))
-        kwargs = dict(n_list=self.N_LIST, reps=reps, alphas=(1.0, 2.0), seed=6)
-        serial = run_weight_study(kind, threads=1, **kwargs)
-        sizes = []
+    def test_automatic_pool_matches_the_serial_study(self, two_cores, forks,
+                                                     serial, kind):
+        # one forked child and this process
+        auto = run_weight_study(kind, **self.KWARGS)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert_same_study(auto, serial[kind])
 
-        def counted(max_workers, **kw):
-            sizes.append(max_workers)
-            return ProcessPoolExecutor(max_workers, **kw)
-
-        monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor", counted)
-        auto = run_weight_study(kind, **kwargs)
-        assert sizes == [2]
-        assert multiprocessing.active_children() == []  # workers joined
-        assert_same_study(auto, serial)
-
-    def test_largest_instances_go_out_first(self, recorder, fork):
+    def test_largest_instances_go_out_first(self, recorder, two_cores):
         study = run_weight_study("euclidean", (24, 64, 32), 3, (1.0,),
                                  threads=2)
-        [pool] = recorder
-        assert pool.dispatched == [64] * 3 + [32] * 3 + [24] * 3
+        assert recorder == [(2, [64] * 3 + [32] * 3 + [24] * 3)]
         # folded in task order all the same
         ns = [(r["n"], r["replicate"]) for r in study.records]
         assert ns == [(n, rep) for n in (24, 64, 32) for rep in range(3)]
@@ -794,34 +825,37 @@ class TestStudyWorkers:
             study, run_weight_study("euclidean", (24, 64, 32), 3, (1.0,),
                                     threads=1))
 
-    def test_pool_is_capped_at_the_task_count(self, recorder, fork,
+    def test_pool_is_capped_at_the_task_count(self, recorder, two_cores,
                                               monkeypatch):
         run_weight_study("euclidean", (16, 24), 2, (1.0,), threads=1000)
-        monkeypatch.setattr("locmst.experiments._usable_cores", lambda: 64)
+        monkeypatch.setattr("locmst.experiments.os.sched_getaffinity",
+                            lambda pid: set(range(64)))
         run_weight_study("euclidean", (_POOL_MIN_POINTS // 2,), 2, (1.0,))
-        assert [pool.workers for pool in recorder] == [4, 2]
+        assert [workers for workers, _ in recorder] == [4, 2]
 
-    def test_threshold_is_where_the_pool_starts(self, recorder, fork):
+    def test_threshold_is_where_the_pool_starts(self, recorder, two_cores):
         # exactly _POOL_MIN_POINTS points: n = 3 and one size that fills it
         n_list = (3, _POOL_MIN_POINTS // 2 - 3)
         run_weight_study("euclidean", n_list, 2, (1.0,))
-        assert [pool.workers for pool in recorder] == [2]
+        run_weight_study("euclidean", (3, n_list[1] - 1), 2, (1.0,))
+        assert [workers for workers, _ in recorder] == [2, 1]
 
     @pytest.mark.parametrize("threads, n_list", [
         (None, (3, _POOL_MIN_POINTS // 2 - 4)),  # two points short
         (None, (64,)),  # the benchmark's warm-up study
         (1, (3, _POOL_MIN_POINTS // 2 - 3)),
     ])
-    def test_small_or_serial_studies_start_no_pool(self, fork, monkeypatch,
-                                                   threads, n_list):
-        monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor", NoPool)
+    def test_small_or_serial_studies_start_no_pool(self, two_cores,
+                                                   monkeypatch, threads,
+                                                   n_list):
+        monkeypatch.setattr("locmst.experiments.os.fork", no_fork)
         study = run_weight_study("euclidean", n_list, 2, (1.0,),
                                  threads=threads)
         assert len(study.records) == 2 * len(n_list)
 
-    def test_automatic_path_does_not_fork_a_threaded_process(self, fork,
+    def test_automatic_path_does_not_fork_a_threaded_process(self, two_cores,
                                                              monkeypatch):
-        monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr("locmst.experiments.os.fork", no_fork)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(60,))
         other.start()
@@ -833,10 +867,89 @@ class TestStudyWorkers:
             other.join(60)
         assert not other.is_alive()
 
-    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_automatic_path_forks_or_stays_serial(self, monkeypatch, method):
-        # a spawned worker would import numpy and locmst afresh
-        monkeypatch.setattr("locmst.experiments._usable_cores", lambda: 2)
-        monkeypatch.setattr("locmst.experiments._start_method", lambda: method)
-        monkeypatch.setattr("locmst.experiments.ProcessPoolExecutor", NoPool)
-        run_weight_study("euclidean", (3, _POOL_MIN_POINTS // 2 - 3), 2, (1.0,))
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_automatic_path_forks_or_stays_serial(self, two_cores, forks,
+                                                  serial, method):
+        # the default start method is neither read nor fixed: the study
+        # forks under each, and gives the serial study's records
+        before = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method(method, force=True)
+        try:
+            for kind in serial:
+                assert_same_study(run_weight_study(kind, **self.KWARGS),
+                                  serial[kind])
+            assert multiprocessing.get_start_method() == method
+        finally:
+            multiprocessing.set_start_method(before, force=True)
+        assert len(forks) == 3
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError("no such instance"),
+                                       MemoryError("no room for the pairs")])
+    def test_a_child_exception_reaches_the_caller(self, monkeypatch,
+                                                  child_first, deadline, error):
+        def fail():
+            raise error
+
+        monkeypatch.setattr("locmst.experiments._study_task",
+                            child_first(fail))
+        fds = open_fds()
+        with pytest.raises(type(error), match=f"^{error}$"):
+            run_weight_study("euclidean", (32, 48), 3, (1.0,), threads=2)
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    def test_a_killed_child_raises_child_process_error(self, monkeypatch,
+                                                       child_first, deadline):
+        def die():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr("locmst.experiments._study_task",
+                            child_first(die))
+        fds = open_fds()
+        with pytest.raises(ChildProcessError, match="killed by SIGKILL"):
+            run_weight_study("euclidean", (32, 48), 3, (1.0,), threads=3)
+        assert_no_child_left()
+        assert open_fds() == fds
+
+    def test_an_exception_here_stops_and_reaps_the_children(self, tmp_path,
+                                                            deadline):
+        parent, log = os.getpid(), tmp_path / "done-by-children"
+
+        def task(t):
+            if os.getpid() == parent:
+                raise KeyError(t)
+            time.sleep(0.001)
+            with open(log, "a") as out:
+                out.write(f"{t}\n")
+
+        fds = open_fds()
+        with pytest.raises(KeyError):
+            _fork_map(task, list(range(1000)), 3)
+        assert_no_child_left()
+        assert open_fds() == fds
+        # the children stopped soon after, not at the end of the range
+        done = log.read_text().split() if log.exists() else []
+        assert len(done) < 100
+
+    def test_each_task_is_claimed_once_from_its_own_end(self, tmp_path,
+                                                        child_first, deadline):
+        # more processes than cores; children claim from the front and this
+        # process from the back, so its positions are the last ones
+        parent, log = os.getpid(), tmp_path / "claimed"
+
+        def note(t):
+            with open(log, "a") as out:  # one short O_APPEND write per task
+                out.write(f"{t}\n")
+            return t, os.getpid()
+
+        task = child_first(lambda: None, then=note)
+        fds = open_fds()
+        out = _fork_map(task, list(range(300)), 5)
+        assert [t for t, _ in out] == list(range(300))
+        assert sorted(map(int, log.read_text().split())) == list(range(300))
+        mine = [t for t, pid in out if pid == parent]
+        assert mine == list(range(300 - len(mine), 300))
+        assert len(mine) < 300
+        assert_no_child_left()
+        assert open_fds() == fds
