@@ -22,6 +22,7 @@ import pickle
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,17 @@ class GapStat:
     gaps: tuple[int, ...]
 
     def s_alpha(self, alpha: float) -> float:
-        return _power_sum(map(float, filter(None, self.gaps)), alpha)  # gaps >= 0
+        # Every finite float is m / d with d a power of two up to 2**1074,
+        # so the sum of count * g**alpha over the distinct gaps is exact in
+        # integers, and int / int rounds it once: the exactly rounded
+        # math.fsum over every gap's Python pow, bit for bit, with one pow
+        # per distinct gap.
+        total = 0
+        for g, count in Counter(self.gaps).items():
+            if g:  # gaps >= 0
+                m, d = pow(float(g), alpha).as_integer_ratio()
+                total += count * m << 1075 - d.bit_length()
+        return total / (1 << 1074)
 
 
 def _gap_stat(s: int, occ: np.ndarray) -> GapStat:

@@ -25,16 +25,21 @@ that Kruskal would reject because they close a cycle.  Running Kruskal
 band after band therefore gives the kappa-Kruskal tree itself, and no
 certificate is needed.
 
-The radius search is a cell list: points sorted by grid cell, each paired
-with the points of its neighbouring cells.  A joining pair has an end
-outside the largest component, so a band searches from those points.
-When they are more than half of all points (always in the first band,
-where every component is a single point, and on thin inputs such as the
-good-square probe's frame) it searches from all points instead, with the
-half stencil of molecular-dynamics cell lists: each point looks only at
-later points of its own cell, the cell above and the next column, and
-every pair is enumerated once instead of from both ends.  That is exact
-too: it yields the same pair set, only without the repeats.
+The radius search runs over strips (Bentley, Stanat and Williams, "The
+complexity of finding fixed-radius near neighbors", IPL 1977): points
+sorted by x-strip, as wide as the radius R, then by y, each paired with
+the points within y +- R in its own and the neighbouring strips.  A
+joining pair has an end outside the largest component, so a band
+searches from those points.  When they are more than half of all points
+(always in the first band, where every component is a single point, and
+on thin inputs such as the good-square probe's frame) it searches from
+all points instead, and each point looks only at the later points of its
+own strip up to y + R and at y +- R in the next strip: every pair is
+enumerated once instead of from both ends, over an area of 3 R^2 per
+point against the 4.5 R^2 of a half stencil of square cells.  That is
+exact too: it yields the same pair set, only without the repeats.  A
+candidate's distance is priced first and lifted to its weight only where
+the weight can fall below the band's limit (``_weight_fns``).
 
 A band's joining pairs, in kappa order, are the edges of the component
 multigraph, each ranked by its position.  The ranks are distinct, so
@@ -84,17 +89,16 @@ from itertools import repeat
 import numpy as np
 
 from .bounds import _check_alphas
-from .weights import WeightSpec, in_central_cells, row_weight_fn
+from .weights import WeightSpec, _weight_fns, in_central_cells, row_weight_fn
 
 BRUTE_FORCE_MAX_N = 8
 _COORD_LIMIT = 1e150
 # Largest n that `minimum_spanning_tree` hands to `mst_kruskal`; above it
-# `mst_bands` is faster.  Median solve times over 30 uniform instances on a
-# 2-core VM, Kruskal / bands, in ms, the range over the three weight kinds:
-# n = 96: 0.5-0.6 / 0.9-1.1; n = 128: 0.7-0.9 / 0.9-1.2;
-# n = 144: 0.8-1.1 / 0.9-1.2; n = 160: 1.3-1.4 / 1.2-1.4;
-# n = 176: 1.1-2.0 / 1.1-1.3; n = 192: 1.6-2.4 / 1.4-1.6;
-# n = 256: 4.5-4.7 / 1.3-1.6.
+# `mst_bands` is faster.  Median solve times over 30 uniform instances (3
+# calls each) on a 2-core VM, Kruskal / bands, in ms, the range over the
+# three weight kinds: n = 96: 0.3-0.4 / 0.9-1.0; n = 128: 0.6-0.7 / 1.3-1.6;
+# n = 144: 0.5-0.7 / 0.9-1.5; n = 160: 0.8-0.9 / 1.5; n = 176: 1.6-1.8 /
+# 1.6-1.7; n = 192: 1.9-2.2 / 1.5-1.8; n = 256: 3.2-3.8 / 1.7-2.1.
 _KRUSKAL_MAX_N = 160
 # Every pair i < j of _KRUSKAL_MAX_N points, in colexicographic order (by
 # j, then i), read-only: the pairs of n points are its first n(n - 1)/2
@@ -116,8 +120,14 @@ _BAND_SLACK = 1e-9
 # reaches, k = 8: 1.9-2.1 / 1.3-1.9; k = 16: 4.0 / 2.5.  So the rows win
 # unless one band would do, and the cap bounds that loss to a few ms.
 _FINISH_STRAGGLERS = 32
-# Grid cells are at least span / _GRID_CELLS wide: cell indices then fit
-# the search key, and their rounding error stays far below _BAND_SLACK.
+# The search radius R is at least span / _GRID_CELLS, so there are at most
+# _GRID_CELLS + 1 strips.  The strip search's float key, strip * W + (y -
+# lo_y) with W a power of two at most 4 (span + R), then stays below about
+# 2^22 (span + R) <= 2^42 R, where an ulp is about 2^-10 R.  A key and a
+# window bound each carry at most a few roundings of half an ulp, so
+# widening each window by 8 ulps of the largest key (at most about 2^-7 R)
+# misses no pair closer than R.  The strip index's own rounding, about
+# 2^-31 of a strip, is absorbed by strips 2^-20 wider than R.
 _GRID_CELLS = 1 << 20
 
 
@@ -274,24 +284,31 @@ def _merges(n: int, ii: np.ndarray, jj: np.ndarray, order: np.ndarray):
     components, members_a the larger; the lists are valid until the next
     step.  Each point carries its component's label and each component a
     list of its members; a union relabels the smaller component (weighted
-    union, Cormen et al., Introduction to Algorithms, section 21.2).
+    union, Cormen et al., Introduction to Algorithms, section 21.2).  The
+    order is read in slices of 2n pairs, then twice as many each time,
+    since the last merge usually comes early in it.
     """
     label = list(range(n))
     members = [[v] for v in range(n)]
     left = n - 1
-    for k, a, b in zip(order.tolist(), ii[order].tolist(), jj[order].tolist()):
-        la, lb = label[a], label[b]
-        if la == lb:
-            continue
-        if len(members[la]) < len(members[lb]):
-            la, lb = lb, la
-        yield k, members[la], members[lb]
-        for v in members[lb]:
-            label[v] = la
-        members[la] += members[lb]
-        left -= 1
-        if left == 0:
-            return
+    start, step = 0, 2 * n
+    while start < len(order):
+        part = order[start:start + step]
+        for k, a, b in zip(part.tolist(), ii[part].tolist(), jj[part].tolist()):
+            la, lb = label[a], label[b]
+            if la == lb:
+                continue
+            if len(members[la]) < len(members[lb]):
+                la, lb = lb, la
+            yield k, members[la], members[lb]
+            for v in members[lb]:
+                label[v] = la
+            members[la] += members[lb]
+            left -= 1
+            if left == 0:
+                return
+        start += step
+        step *= 2
 
 
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,54 +371,68 @@ def _kappa_order(i, j, h) -> np.ndarray:
 
 
 def _grid_neighbours(coords, lo, cell, search):
-    """Yield (s, p) chunks of pairs from neighbouring grid cells.
+    """Yield (s, p) chunks of pairs found by a strip search of radius
+    ``cell`` (Bentley, Stanat and Williams, "The complexity of finding
+    fixed-radius near neighbors", IPL 1977).
 
-    Points are sorted by grid cell, column by column, so three vertically
-    adjacent cells are one contiguous range of the sorted order.  Every
-    pair closer than ``cell`` lies in neighbouring cells.
+    Points are sorted by x-strip, ``cell`` wide, then by y, under one
+    float key: strip * width + (y - lo_y), with ``width`` a power of two
+    above the y span plus two radii.  So the points of one strip within a
+    y-window are one contiguous range of the sorted order, and the window
+    never reaches into another strip.  Every pair closer than ``cell``
+    lies in one strip or two adjacent ones, with y within ``cell``; each
+    window is widened by a few ulps of the largest key, which covers the
+    key's rounding (see _GRID_CELLS).
 
-    * A subset ``search`` takes the full 3x3 stencil: each s is paired
-      with every point p (itself included) in the three columns around
-      it.  So every pair closer than ``cell`` with an end in ``search``
-      comes out, and one with both ends there comes out twice.
-    * When ``search`` holds every point, each point at sorted position
-      pos takes a half stencil of two ranges: [pos + 1, end of the cell
-      above], which is the rest of its own cell and the cell above, and
-      the three cells of the next column.  A pair within one cell is then
-      found only from its earlier point, one in vertically adjacent cells
-      only from the lower point, and any other neighbouring pair only
-      from the left point.  So each pair closer than ``cell`` comes out
-      exactly once, and s != p.  ``_band_forest`` passes every point
-      while more than half of them lie outside the largest component:
-      half of all neighbouring pairs are then fewer than the full stencil
-      yields from the points outside it.
+    * A subset ``search`` takes three windows, y +- ``cell`` in its own
+      strip and in both neighbouring strips: each s is paired with every
+      point p (itself included) there, an area of 6 cell^2.  So every
+      pair closer than ``cell`` with an end in ``search`` comes out, and
+      one with both ends there comes out twice.
+    * When ``search`` holds every point, the point at sorted position pos
+      takes two windows: [pos + 1, y + ``cell``] in its own strip and
+      y +- ``cell`` in the next strip, 3 cell^2.  A pair within one strip
+      is then found only from its earlier point, and one across two
+      strips only from its left point.  So each pair closer than ``cell``
+      comes out exactly once, and s != p.  ``_band_forest`` passes every
+      point while more than half of them lie outside the largest
+      component: half of all near pairs are then fewer than the three
+      windows yield from the points outside it.
 
     A chunk holds about _BAND_CHUNK pairs, more only when one point's
-    cells alone hold more.
+    windows alone hold more.
     """
-    c = np.floor((coords - lo) / cell).astype(np.int64)
-    stride = 2 * _GRID_CELLS  # > any row index + 1, so rows never wrap
-    key = c[:, 0] * stride + c[:, 1]
+    off = coords[:, 1] - lo[1]
+    # strips a hair wider than the radius: the index's rounding never puts
+    # two points less than ``cell`` apart in x two strips apart
+    strip = np.floor((coords[:, 0] - lo[0]) / (cell * (1 + 2.0**-20)))
+    width = math.ldexp(1.0, math.frexp(float(off.max()) + 2 * cell)[1])
+    key = strip * width + off
+    reach = cell + 8 * float(np.spacing((strip.max() + 2) * width))
     order = np.argsort(key).astype(np.int32)
     sorted_key = key[order]
     half = len(search) == len(coords)
     if half:
         search = order  # position k of search is sorted position k
-        columns = np.array([0, stride])
+        strips = np.array([0.0, width])
     else:
-        columns = stride * np.arange(-1, 2)
+        search = search[np.argsort(key[search])]  # in key order too
+        strips = width * np.arange(-1.0, 2.0)
     # blocks of points keep the per-point range arrays small too
     for at in np.array_split(np.arange(len(search)),
                              -(-len(search) // (_BAND_CHUNK // 16))):
         block = search[at]
-        around = key[block][:, None] + columns
-        start = np.searchsorted(sorted_key, around - 1)
-        if half:
-            start[:, 0] = at + 1
-        start = start.ravel()
-        length = np.searchsorted(sorted_key, around + 1, side="right").ravel()
+        # one row per strip: each row of bounds ascends with the sorted
+        # order, which searchsorted walks faster than interleaved bounds
+        around = key[block] + strips[:, None]
+        if half:  # the own-strip window starts right after the point
+            start = np.concatenate(
+                (at + 1, np.searchsorted(sorted_key, around[1] - reach)))
+        else:
+            start = np.searchsorted(sorted_key, around - reach).ravel()
+        length = np.searchsorted(sorted_key, around + reach, side="right").ravel()
         length -= start
-        owner = np.repeat(block, len(columns))
+        owner = np.tile(block, len(strips))
         cuts = np.flatnonzero(np.diff((np.cumsum(length) - length) // _BAND_CHUNK))
         for part in np.split(np.arange(len(length)), cuts + 1):
             ln = length[part]
@@ -505,7 +536,7 @@ def _straggler_rows(weigh, comp, search):
     return (np.concatenate(col) for col in zip(*found))
 
 
-def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit, stalled):
+def _band_forest(weights, coords, lo, cell, comp, n_comp, cheap, limit, stalled):
     """Run kappa-Kruskal over one band: the pairs with h < limit that join
     two of the ``n_comp`` components labelled by ``comp``.
 
@@ -514,34 +545,33 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit, stalled):
 
     Every pair that joins two components has an end outside the largest
     one.  While at most half the points lie outside it, the radius search
-    starts from those points, with the full stencil.  When more lie
+    starts from those points, with three windows each.  When more lie
     outside, as in the first band, where every component is a single
-    point, it starts from all points: the half stencil then yields each
-    pair once, at less cost than the full stencil from most points, and
+    point, it starts from all points: two windows each then yield each
+    pair once, at less cost than three windows from most points, and
     pairs inside one component are dropped.  The pair set is the same
     either way.  Pairs with a discount end come from that end's full row
-    instead.
+    instead.  ``weights`` is the pair (row, price) of `_weight_fns`: the
+    searched pairs are priced distance first, the rows by ``row``.
 
     After a ``stalled`` band, one that joined no two components, with at
     most _FINISH_STRAGGLERS points outside the largest component, the band
     is the last: it takes every pair, whatever ``limit``, from those
     points' full rows, each cut to its cheapest pair to each other
-    component (`_straggler_rows`), and no grid search runs.
+    component (`_straggler_rows`), and no strip search runs.
 
     The band's joining pairs, in kappa order, are the edges of the
     component multigraph, each ranked by its position.  The ranks are
     distinct, so Boruvka (`_boruvka`) picks Kruskal's forest.
     """
+    weigh, price = weights
     n = len(comp)
     singles = n_comp == n
     has_cheap = cheap.any()
     found = []
 
-    def keep(s, p):
-        h = weigh(s, p)
-        inside = h < limit
-        s, p = s[inside], p[inside]
-        found.append((np.minimum(s, p), np.maximum(s, p), h[inside]))
+    def keep(s, p, h):
+        found.append((np.minimum(s, p), np.maximum(s, p), h))
 
     search = np.arange(n, dtype=np.int32)
     if not singles:
@@ -563,10 +593,12 @@ def _band_forest(weigh, coords, lo, cell, comp, n_comp, cheap, limit, stalled):
             if has_cheap:  # a pair with a discount end comes from that end's row
                 far = ~(cheap[s] | cheap[p])
                 s, p = s[far], p[far]
-            keep(s, p)
+            keep(*price(s, p, limit))
         for k in np.flatnonzero(cheap):
             p = np.flatnonzero((comp != comp[k]) & ~(cheap & (np.arange(n) < k)))
-            keep(np.full(len(p), k, dtype=np.int32), p.astype(np.int32))
+            h = weigh(k, p)
+            p, h = p[h < limit], h[h < limit]
+            keep(np.full(len(p), k, dtype=np.int32), p.astype(np.int32), h)
         # arrays are dropped as soon as they are spent: the first band's
         # transients set the solver's peak memory
         i, j, h = (np.concatenate(col) for col in zip(*found))
@@ -583,9 +615,9 @@ def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
 
     Band k takes the pairs with h < lam * R_k (less a tiny slack) that join
     two current components, where h >= lam * d holds for every pair the
-    grid search has to find: lam = 1 for euclidean and shifted weights,
+    strip search has to find: lam = 1 for euclidean and shifted weights,
     c2 for hotspot pairs without a discount end (pairs with one come from
-    that end's full row).  So a grid search of radius R_k finds the band,
+    that end's full row).  So a strip search of radius R_k finds the band,
     and Kruskal over it, in kappa order, continues the kappa-Kruskal run
     exactly (see the module docstring).  R_0 follows the point spacing and
     R doubles each band until one component is left, or until the band
@@ -596,7 +628,7 @@ def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     n = len(coords)
     if n <= 1:
         return _sorted_result(n)
-    weigh = row_weight_fn(spec, coords)
+    weights = _weight_fns(spec, coords)
     cheap = in_central_cells(spec, coords)
     # taken from the weight functions themselves, not the declared band
     lam = spec.c2 if spec.kind == "hotspot" else 1.0
@@ -604,7 +636,7 @@ def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     span = float((coords.max(axis=0) - lo).max())
     # h / d is typically near the band's geometric mean
     radius = _initial_radius(coords, lo, span) * math.sqrt(spec.c2 / lam)
-    # the grid cells, radius wide, must not be finer than span / _GRID_CELLS
+    # the strips, radius wide, must not be finer than span / _GRID_CELLS
     radius = max(radius, span / _GRID_CELLS)
     comp = np.arange(n, dtype=np.int32)
     n_comp = n
@@ -613,7 +645,7 @@ def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     while n_comp > 1:
         limit = lam * radius * (1.0 - _BAND_SLACK)
         edges, left, comp = _band_forest(
-            weigh, coords, lo, radius, comp, n_comp, cheap, limit, stalled
+            weights, coords, lo, radius, comp, n_comp, cheap, limit, stalled
         )
         stalled = left == n_comp
         n_comp = left

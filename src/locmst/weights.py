@@ -238,31 +238,53 @@ def row_weight_fn(spec: WeightSpec, coords: np.ndarray):
     ``* c`` (hotspot), in exactly this operation order, the one
     ``pair_weight`` uses too, so all solvers see bit-identical weights.
     """
+    return _weight_fns(spec, coords)[0]
+
+
+def _weight_fns(spec: WeightSpec, coords: np.ndarray):
+    """``row_weight_fn``'s callable and the band solver's pricer, over one
+    copy of the coordinates.
+
+    ``price(i, j, limit)`` returns (i, j, h) for the pairs of the index
+    arrays with h < limit.  It prices the distance d of every pair first
+    and lifts it only where that can matter: h >= d for every kind, so a
+    shifted pair with d >= limit is never kept, and hotspot pairs reach it
+    only without a discount end (`mst_bands` takes the others from full
+    rows), so their h is c2 * d.  The kept h are those of ``row``, bit for
+    bit: the same operations in the same order.
+    """
     coords = np.asarray(coords, dtype=float)
     xs, ys = coords[:, 0].copy(), coords[:, 1].copy()
 
-    def dist(i, j) -> np.ndarray:
+    def dist(i, j=slice(None)) -> np.ndarray:
         dx = xs[j] - xs[i]
         dy = ys[j] - ys[i]
         return np.sqrt(dx * dx + dy * dy)
 
+    def below(i, j, h, limit):
+        at = np.flatnonzero(h < limit)
+        return i[at], j[at], h[at]
+
     if spec.kind == "euclidean":
-
-        def row(i, j=slice(None)) -> np.ndarray:
-            return dist(i, j)
-
-    elif spec.kind == "shifted":
+        return dist, lambda i, j, limit: below(i, j, dist(i, j), limit)
+    if spec.kind == "shifted":
         r = np.sqrt(xs * xs + ys * ys)  # distance from (0, 0)
 
-        def row(i, j=slice(None)) -> np.ndarray:
-            d = dist(i, j)
+        def lift(i, j, d) -> np.ndarray:
             return d + 0.5 * np.minimum(np.abs(r[j] - r[i]), d)
 
-    else:
-        cheap = in_central_cells(spec, coords)
-        c1, c2 = spec.c1, spec.c2
-
         def row(i, j=slice(None)) -> np.ndarray:
-            return dist(i, j) * np.where(cheap[i] | cheap[j], c1, c2)
+            return lift(i, j, dist(i, j))
 
-    return row
+        def price(i, j, limit):
+            i, j, d = below(i, j, dist(i, j), limit)
+            return below(i, j, lift(i, j, d), limit)
+
+        return row, price
+    cheap = in_central_cells(spec, coords)
+    c1, c2 = spec.c1, spec.c2
+
+    def row(i, j=slice(None)) -> np.ndarray:
+        return dist(i, j) * np.where(cheap[i] | cheap[j], c1, c2)
+
+    return row, lambda i, j, limit: below(i, j, dist(i, j) * c2, limit)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from locmst.experiments import (
     _POOL_MIN_POINTS,
     EmptyPointSetError,
+    GapStat,
     StudyResult,
     _event_log10,
     _fork_map,
@@ -161,6 +162,22 @@ class TestGapStat:
             for alpha in (0.5, 0.7, 1, 2, 3, 1.0, 2.0, 3.0):
                 loop = math.fsum(float(g) ** alpha for g in gs.gaps if g > 0)
                 assert gs.s_alpha(alpha) == loop
+
+    def test_s_alpha_is_pinned_on_many_equal_gaps_of_mixed_magnitude(self):
+        # counts whose count * g**alpha rounds, beside gaps from 1 to 1e9:
+        # the histogram's exact terms must give the fsum over every gap
+        gaps = ((0,) * 5 + (1,) * 50_000 + (7,) * 3_001 + (12_345,) * 17
+                + (10**9 + 7,) + (3,) * 99_999 + (2, 5, 11))
+        gs = GapStat(s=1, occupied=(), gaps=gaps)
+        pins = {
+            0.3: "0x1.7d45653ebdd74p+17", 0.5: "0x1.0275750d90ebdp+18",
+            1.0: "0x1.dd1d38f000000p+29", 1.5: "0x1.cc2c1d0246edbp+44",
+            2.0: "0x1.bc16d6f08b003p+59", 2.5: "0x1.ac918c3d89ef5p+74",
+            3.7: "0x1.897f01aa95e7dp+110", 17.0: "0x1.317e615595578p+508",
+        }
+        for alpha, want in pins.items():
+            assert gs.s_alpha(alpha).hex() == want
+            assert gs.s_alpha(alpha) == math.fsum(float(g) ** alpha for g in gaps if g)
 
     @given(seed=st.integers(0, 99_999), n=st.integers(1, 60))
     @settings(max_examples=150)

@@ -573,6 +573,62 @@ def test_subset_stencil_yields_every_close_pair_of_the_subset(family, chunk):
                 assert want <= got
 
 
+def strip_key_instance(case: str, rng):
+    """150 points and the radii that stress the strip search's float key,
+    as (pts, cells); each radius has close pairs to find."""
+    if case == "near_1e149":  # a cluster whose spacing is its ulp
+        ulp = np.spacing(1e149)
+        pts = np.unique(1e149 + rng.integers(0, 40, (150, 2)) * ulp, axis=0)
+        return rng.permutation(pts), (1.5 * ulp, 4 * ulp, 10 * ulp)
+    if case == "clamped":  # a far outlier and a dense cluster, so the
+        # radius is the finest mst_bands allows; the cluster, a lattice of
+        # about that pitch, sits in the last strips, where the key is largest
+        pitch = 1.3 / _GRID_CELLS
+        lattice = np.unique(rng.integers(0, 12, (149, 2)), axis=0)
+        pts = np.vstack([[-0.3, -0.3], 1 - lattice * pitch])
+        finest = float(np.ptp(pts, axis=0).max()) / _GRID_CELLS
+        return rng.permutation(pts), (finest, 2 * finest)
+    if case == "y_gaps_at_radius":  # rows exactly one radius apart, on
+        # the strip edges, y offset so that the gaps round either way
+        cell = 0.1
+        grid = np.unique(rng.integers(0, 8, (150, 2)), axis=0)
+        pts = np.stack([grid[:, 0] * cell, 0.3 + grid[:, 1] * cell], 1)
+        return rng.permutation(pts), (cell,)
+    line = rng.permutation(150) / 150 + 0.01 * rng.random(150)
+    # a band far thinner than the radii: a window must not reach from one
+    # strip's y range into the next strip's
+    flat = 0.5 + (0.002 * rng.random(150) if case == "thin_band" else np.zeros(150))
+    pts = np.stack([flat, line] if case == "vertical_line" else [line, flat], 1)
+    return pts, STENCIL_CELLS
+
+
+STRIP_KEY_CASES = ("near_1e149", "clamped", "y_gaps_at_radius", "vertical_line",
+                   "horizontal_line", "thin_band")
+
+
+@pytest.mark.parametrize("chunk", [_BAND_CHUNK, 32])
+@pytest.mark.parametrize("case", STRIP_KEY_CASES)
+def test_both_stencils_stay_exact_on_strip_key_extremes(case, chunk):
+    # the half stencil yields each close pair exactly once with s != p, and
+    # the subset stencil every close pair with an end in the subset
+    with mock.patch.object(mst_module, "_BAND_CHUNK", chunk):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            pts, cells = strip_key_instance(case, rng)
+            search = np.sort(rng.choice(len(pts), len(pts) // 3, replace=False))
+            searched = set(search.tolist())
+            for cell in cells:
+                close = close_pairs(pts, cell)
+                assert close, "no close pair to find"
+                got = stencil_pairs(pts, cell, np.arange(len(pts)))
+                assert all(a < b for a, b in got), "a point paired with itself"
+                assert len(got) == len(set(got)), "a pair came out twice"
+                assert close <= set(got)
+                got = set(stencil_pairs(pts, cell, search))
+                assert {(a, b) for a, b in close
+                        if a in searched or b in searched} <= got
+
+
 def kruskal_by_rank(n_comp, a, b):
     """Kruskal over edges ranked by position: picked positions and each
     component's root, with a plain union-find."""

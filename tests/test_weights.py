@@ -11,6 +11,7 @@ from locmst.mst import minimum_spanning_tree
 from locmst.weights import (
     DegenerateEdgeError,
     WeightSpec,
+    _weight_fns,
     build_hotspot_layout,
     euclidean_spec,
     hotspot_spec,
@@ -229,6 +230,35 @@ def test_every_pair_lies_in_its_band_exactly(kind):
     lam = spec.c2 if kind == "hotspot" else 1.0
     assert (h[~discount] >= lam * d[~discount]).all()
     assert (h[discount] == spec.c1 * d[discount]).all()
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "hotspot", "shifted"])
+def test_band_pricer_keeps_exactly_the_row_weights_below_the_limit(kind):
+    # the band solver prices distance first; the pairs it keeps, and their
+    # h bit for bit, are those of row_weight_fn below the limit.  Hotspot
+    # pairs reach it only without a discount end.
+    spec = spec_from_kind(kind)
+    pts = band_points()
+    i, j = np.triu_indices(len(pts), k=1)
+    cheap = in_central_cells(spec, pts)
+    far = ~(cheap[i] | cheap[j])
+    i, j = i[far].astype(np.int32), j[far].astype(np.int32)
+    row, price = _weight_fns(spec, pts)
+    h = row(i, j)
+    assert h.tobytes() == row_weight_fn(spec, pts)(i, j).tobytes()
+    d = row_weight_fn(euclidean_spec(), pts)(i, j)
+    rng = np.random.default_rng(5)
+    picks = np.r_[rng.choice(len(h), 20, replace=False), len(h) - 1]  # the NEAR pair
+    # limits at, just below and just above some pair's d and h: a shifted
+    # pair with d just below the limit and h above it is priced and dropped
+    at = np.r_[d[picks], h[picks]]
+    for limit in np.r_[np.nextafter(at, -np.inf), at, np.nextafter(at, np.inf)]:
+        inside = np.flatnonzero(h < limit)
+        ki, kj, kh = price(i, j, limit)
+        assert ki.tolist() == i[inside].tolist() and kj.tolist() == j[inside].tolist()
+        assert kh.tobytes() == h[inside].tobytes()
+    if kind == "shifted":
+        assert ((d[picks] < h[picks]) & (np.nextafter(d[picks], np.inf) < h[picks])).any()
 
 
 def test_shifted_weight_stays_in_its_band_at_near_coincident_points():
