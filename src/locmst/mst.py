@@ -39,7 +39,11 @@ enumerated once instead of from both ends, over an area of 3 R^2 per
 point against the 4.5 R^2 of a half stencil of square cells.  That is
 exact too: it yields the same pair set, only without the repeats.  A
 candidate's distance is priced first and lifted to its weight only where
-the weight can fall below the band's limit (``_weight_fns``).
+the weight can fall below the band's limit (``_weight_fns``).  In every
+band after the first, a window whose points all lie in its searcher's
+own component is skipped before it is expanded, since none of its pairs
+joins two components; so a band that joins nothing, as between far
+clusters, enumerates next to no pairs.
 
 A band's joining pairs, in kappa order, are the edges of the component
 multigraph, each ranked by its position.  The ranks are distinct, so
@@ -60,6 +64,19 @@ kappa-minimal pair between two components is the cheapest of its own
 rows, so the cut drops no edge of Kruskal's forest.  It replaces the
 bands that double the radius until it reaches far points, such as the
 good-square probe's satellites across their empty moat.
+
+Index dtypes.  numpy 2.4 gathers through an intp index, and selects
+through ``np.flatnonzero`` + ``take``, far faster than through an int32
+index or a boolean mask.  On the 26 414 first-band pairs of an n = 8192
+solve (2-core VM), gathering 8-byte values took 84 us through the int32
+pairs, 42 us through intp copies of them and 37 us with ``take``;
+selecting a third of them took 140 us with a boolean mask and 38 us with
+``flatnonzero`` + ``take``.  So the band solver's index arrays are intp
+while a chunk of pairs is searched and priced, and its stored pairs are
+int32, to halve their memory; a gather or filter as long as a band goes
+through ``_gather`` and ``_select``, which cast or index one _BAND_CHUNK
+slice at a time, since an intp copy of a whole band's index would raise
+the solver's peak memory.
 
 ``mst_with_point(spec, coords, tree, x)`` adds one point to a solved tree
 without solving again.  The tree of X and x lies in the tree of X plus
@@ -89,16 +106,22 @@ from itertools import repeat
 import numpy as np
 
 from .bounds import _check_alphas
-from .weights import WeightSpec, _weight_fns, in_central_cells, row_weight_fn
+from .weights import (
+    DegenerateEdgeError,
+    WeightSpec,
+    _weight_fns,
+    in_central_cells,
+    row_weight_fn,
+)
 
 BRUTE_FORCE_MAX_N = 8
 _COORD_LIMIT = 1e150
 # Largest n that `minimum_spanning_tree` hands to `mst_kruskal`; above it
 # `mst_bands` is faster.  Median solve times over 30 uniform instances (3
 # calls each) on a 2-core VM, Kruskal / bands, in ms, the range over the
-# three weight kinds: n = 96: 0.3-0.4 / 0.9-1.0; n = 128: 0.6-0.7 / 1.3-1.6;
-# n = 144: 0.5-0.7 / 0.9-1.5; n = 160: 0.8-0.9 / 1.5; n = 176: 1.6-1.8 /
-# 1.6-1.7; n = 192: 1.9-2.2 / 1.5-1.8; n = 256: 3.2-3.8 / 1.7-2.1.
+# three weight kinds: n = 96: 0.2-0.3 / 0.7-0.8; n = 128: 0.3-0.4 /
+# 0.8-0.9; n = 144: 0.4-0.5 / 0.8-0.9; n = 160: 0.5-0.6 / 0.8; n = 176:
+# 0.8-1.0 / 0.8; n = 192: 1.1-1.2 / 0.8-0.9; n = 256: 2.0-2.2 / 0.9.
 _KRUSKAL_MAX_N = 160
 # Every pair i < j of _KRUSKAL_MAX_N points, in colexicographic order (by
 # j, then i), read-only: the pairs of n points are its first n(n - 1)/2
@@ -187,8 +210,12 @@ def _power_sum(values, alpha: float) -> float:
 
     Every score is priced here: Python's pow, not np.power, whose SIMD
     loops may round differently, and math.fsum, whose result does not
-    depend on the order of the terms.
+    depend on the order of the terms.  At alpha = 1 the powers are
+    skipped, which moves no bit: pow(v, 1.0) == v for every positive float
+    (the tests check it from the subnormals to the largest).
     """
+    if alpha == 1.0:
+        return math.fsum(values)
     return math.fsum(map(pow, values, repeat(alpha)))
 
 
@@ -219,6 +246,18 @@ class MstResult:
         return set(zip(self.edge_i.tolist(), self.edge_j.tolist()))
 
 
+def _tree(n: int, ei: np.ndarray, ej: np.ndarray, w: np.ndarray) -> MstResult:
+    """A solver's tree, its edges in kappa order, so w[0] is its lightest
+    weight.  That is 0 only where dx*dx + dy*dy underflows between two
+    distinct points, below about 1e-154 apart; ``pair_weight`` refuses
+    such a pair, and so does every solver."""
+    if len(w) and w[0] == 0:
+        raise DegenerateEdgeError(
+            f"points {ei[0]} and {ej[0]} are distinct, but their weight underflows to 0"
+        )
+    return MstResult(n, ei, ej, w)
+
+
 def _sorted_result(n: int, ei=(), ej=(), w=()) -> MstResult:
     """The tree with edges (ei, ej, w), ei < ej, sorted into kappa order
     for the oracles; no edges by default."""
@@ -226,8 +265,7 @@ def _sorted_result(n: int, ei=(), ej=(), w=()) -> MstResult:
     ej = np.asarray(ej, dtype=np.int64)
     w = np.asarray(w, dtype=float)
     order = _kappa_order(ei, ej, w)
-    return MstResult(n=n, edge_i=ei[order], edge_j=ej[order],
-                     base_weights=w[order])
+    return _tree(n, ei[order], ej[order], w[order])
 
 
 def mst_prim_dense(spec: WeightSpec, coords: np.ndarray) -> MstResult:
@@ -328,7 +366,7 @@ def mst_kruskal(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     ww = row_weight_fn(spec, coords)(ii, jj)
     # Kruskal's picks, in kappa order
     k = [k for k, _, _ in _merges(n, ii, jj, _kappa_order(ii, jj, ww))]
-    return MstResult(n, ii[k], jj[k], ww[k])
+    return _tree(n, ii[k], jj[k], ww[k])
 
 
 def _spread_bits(v: np.ndarray) -> np.ndarray:
@@ -353,8 +391,9 @@ def _initial_radius(coords: np.ndarray, lo: np.ndarray, span: float) -> float:
     """
     q = np.floor((coords - lo) * ((_GRID_CELLS - 1) / span)).astype(np.int64)
     order = np.argsort(_spread_bits(q[:, 0]) | (_spread_bits(q[:, 1]) << 1))
-    gap = np.diff(coords[order], axis=0)
-    return 1.5 * float(np.median(np.sqrt((gap * gap).sum(axis=1))))
+    # one contiguous column each: dx*dx + dy*dy in the order a row sum adds
+    dx, dy = (np.diff(coords[:, k].take(order)) for k in (0, 1))
+    return 1.5 * float(np.median(np.sqrt(dx * dx + dy * dy)))
 
 
 def _kappa_order(i, j, h) -> np.ndarray:
@@ -370,10 +409,10 @@ def _kappa_order(i, j, h) -> np.ndarray:
     return order
 
 
-def _grid_neighbours(coords, lo, cell, search):
+def _grid_neighbours(coords, lo, cell, search, comp=None):
     """Yield (s, p) chunks of pairs found by a strip search of radius
     ``cell`` (Bentley, Stanat and Williams, "The complexity of finding
-    fixed-radius near neighbors", IPL 1977).
+    fixed-radius near neighbors", IPL 1977), as intp index arrays.
 
     Points are sorted by x-strip, ``cell`` wide, then by y, under one
     float key: strip * width + (y - lo_y), with ``width`` a power of two
@@ -399,6 +438,13 @@ def _grid_neighbours(coords, lo, cell, search):
       component: half of all near pairs are then fewer than the three
       windows yield from the points outside it.
 
+    Given the component labels ``comp``, a window whose points all lie in
+    its searcher's own component is skipped before it is expanded: none
+    of its pairs joins two components.  A prefix count of component
+    changes along the sorted order tests each window in O(1).  Without
+    ``comp`` every window is expanded, as in the first band, where every
+    component is a single point.
+
     A chunk holds about _BAND_CHUNK pairs, more only when one point's
     windows alone hold more.
     """
@@ -409,22 +455,30 @@ def _grid_neighbours(coords, lo, cell, search):
     width = math.ldexp(1.0, math.frexp(float(off.max()) + 2 * cell)[1])
     key = strip * width + off
     reach = cell + 8 * float(np.spacing((strip.max() + 2) * width))
-    order = np.argsort(key).astype(np.int32)
-    sorted_key = key[order]
+    del strip, off
+    order = np.argsort(key)
+    sorted_key = key.take(order)
+    if comp is not None:
+        sorted_comp = comp.take(order)
+        # changes[k]: how many times the component changes before position k
+        changes = np.zeros(len(order), dtype=np.int32)
+        np.cumsum(sorted_comp[1:] != sorted_comp[:-1], dtype=np.int32,
+                  out=changes[1:])
     half = len(search) == len(coords)
     if half:
         search = order  # position k of search is sorted position k
         strips = np.array([0.0, width])
     else:
-        search = search[np.argsort(key[search])]  # in key order too
+        search = np.asarray(search, dtype=np.intp)
+        search = search.take(np.argsort(key.take(search)))  # in key order too
         strips = width * np.arange(-1.0, 2.0)
     # blocks of points keep the per-point range arrays small too
     for at in np.array_split(np.arange(len(search)),
                              -(-len(search) // (_BAND_CHUNK // 16))):
-        block = search[at]
+        block = search.take(at)
         # one row per strip: each row of bounds ascends with the sorted
         # order, which searchsorted walks faster than interleaved bounds
-        around = key[block] + strips[:, None]
+        around = key.take(block) + strips[:, None]
         if half:  # the own-strip window starts right after the point
             start = np.concatenate(
                 (at + 1, np.searchsorted(sorted_key, around[1] - reach)))
@@ -433,12 +487,46 @@ def _grid_neighbours(coords, lo, cell, search):
         length = np.searchsorted(sorted_key, around + reach, side="right").ravel()
         length -= start
         owner = np.tile(block, len(strips))
+        if comp is not None:
+            # positions inside the order; an empty window stays empty
+            first = np.minimum(start, len(order) - 1)
+            last = np.maximum(start + length - 1, 0)
+            own = ((changes.take(first) == changes.take(last))
+                   & (sorted_comp.take(first) == comp.take(owner)))
+            np.putmask(length, own, 0)
         cuts = np.flatnonzero(np.diff((np.cumsum(length) - length) // _BAND_CHUNK))
         for part in np.split(np.arange(len(length)), cuts + 1):
-            ln = length[part]
+            ln = length.take(part)
             run = np.cumsum(ln) - ln
-            pos = np.arange(run[-1] + ln[-1]) + np.repeat(start[part] - run, ln)
-            yield np.repeat(owner[part], ln), order[pos]
+            pos = np.arange(run[-1] + ln[-1]) + np.repeat(start.take(part) - run, ln)
+            yield np.repeat(owner.take(part), ln), order.take(pos)
+
+
+def _gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """x[index] for an index as long as a band, such as its int32 pairs:
+    cast to intp a _BAND_CHUNK slice at a time, so that no intp copy of
+    the whole index is made."""
+    out = np.empty(len(index), x.dtype)
+    for k in range(0, len(index), _BAND_CHUNK):
+        out[k:k + _BAND_CHUNK] = x.take(index[k:k + _BAND_CHUNK].astype(np.intp))
+    return out
+
+
+def _select(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    """[a[keep] for a in arrays], for a boolean ``keep``, through
+    flatnonzero + take a _BAND_CHUNK slice at a time: no index as long
+    as ``keep`` is made."""
+    if len(keep) <= _BAND_CHUNK:
+        at = np.flatnonzero(keep)
+        return [a.take(at) for a in arrays]
+    out = [np.empty(np.count_nonzero(keep), a.dtype) for a in arrays]
+    end = 0
+    for k in range(0, len(keep), _BAND_CHUNK):
+        at = np.flatnonzero(keep[k:k + _BAND_CHUNK])
+        for a, o in zip(arrays, out):
+            o[end:end + len(at)] = a[k:k + _BAND_CHUNK].take(at)
+        end += len(at)
+    return out
 
 
 def _boruvka(n_comp: int, a: np.ndarray, b: np.ndarray):
@@ -460,39 +548,39 @@ def _boruvka(n_comp: int, a: np.ndarray, b: np.ndarray):
     picked = []
     # spent arrays are dropped at once: in the first band n_comp = n
     while len(pos):
-        idx = np.arange(n_comp, dtype=np.int32)
         best = np.full(n_comp, len(pos), dtype=np.int32)
         rank = np.arange(len(pos), dtype=np.int32)
         np.minimum.at(best, a, rank)
         np.minimum.at(best, b, rank)
         del rank
-        src = np.flatnonzero(best < len(pos)).astype(np.int32)
-        e = best[src]
+        src = np.flatnonzero(best < len(pos))
+        e = best.take(src).astype(np.intp)
         del best
         chosen = np.zeros(len(pos), dtype=bool)
         chosen[e] = True  # a mutual pair picks its edge twice
-        picked.append(pos[chosen])
+        picked.append(pos.take(np.flatnonzero(chosen)))
         del chosen
+        idx = np.arange(n_comp, dtype=np.int32)
         parent = idx.copy()
-        parent[src] = np.where(a[e] == src, b[e], a[e])
-        del src, e
-        mutual = (parent[parent] == idx) & (idx < parent)
-        parent[mutual] = idx[mutual]
+        ea, eb = a.take(e), b.take(e)
+        parent[src] = np.where(ea == src, eb, ea)
+        del src, e, ea, eb
+        mutual = (_gather(parent, parent) == idx) & (idx < parent)
+        np.putmask(parent, mutual, idx)
         del mutual
         while True:
-            up = parent[parent]
+            up = _gather(parent, parent)
             if np.array_equal(up, parent):
                 break
             parent = up
         new = np.cumsum(parent == idx, dtype=np.int32)
         new -= 1
         n_comp = int(new[-1]) + 1
-        new = new[parent]
+        new = _gather(new, parent)
         del parent, idx
-        label = new[label]
-        a, b = new[a], new[b]
-        keep = a != b
-        a, b, pos = a[keep], b[keep], pos[keep]
+        label = _gather(new, label)
+        a, b = _gather(new, a), _gather(new, b)
+        a, b, pos = _select(a != b, a, b, pos)
     return (np.sort(np.concatenate(picked)) if picked else pos), n_comp, label
 
 
@@ -513,19 +601,19 @@ def _straggler_rows(weigh, comp, search):
     """
     n = len(comp)
     order = np.argsort(comp, kind="stable")
-    run_comp = comp[order]
+    run_comp = comp.take(order)
     first = np.flatnonzero(np.concatenate(([True], run_comp[1:] != run_comp[:-1])))
     run = np.diff(first, append=n)
     searched = np.zeros(n, dtype=bool)
     searched[search] = True
-    in_search = searched[order]
+    in_search = searched.take(order)
     at = np.arange(n)
     found = []
     step = max(1, _BAND_CHUNK // n)
     for k in range(0, len(search), step):
         s = search[k:k + step, None]
         h = weigh(s, order)
-        h[(run_comp == comp[s]) | (in_search & (order < s))] = np.inf
+        np.putmask(h, (run_comp == comp.take(s)) | (in_search & (order < s)), np.inf)
         least = np.minimum.reduceat(h, first, axis=1)
         tied = h == np.repeat(least, run, axis=1)
         del h
@@ -570,44 +658,50 @@ def _band_forest(weights, coords, lo, cell, comp, n_comp, cheap, limit, stalled)
     has_cheap = cheap.any()
     found = []
 
-    def keep(s, p, h):
+    def keep(s, p, h):  # stored as int32 pairs
+        s, p = s.astype(np.int32), p.astype(np.int32)
         found.append((np.minimum(s, p), np.maximum(s, p), h))
 
-    search = np.arange(n, dtype=np.int32)
+    search = np.arange(n)
     if not singles:
         sizes = np.bincount(comp)
         giant = sizes.argmax()
         if 2 * (n - sizes[giant]) <= n:
-            search = np.flatnonzero(comp != giant).astype(np.int32)
+            search = np.flatnonzero(comp != giant)
     wide = len(search) == n
     if stalled and not wide and len(search) <= _FINISH_STRAGGLERS:
         # their rows hold every joining pair, discount pairs included
         i, j, h = _straggler_rows(weigh, comp, search)
     else:
-        for s, p in _grid_neighbours(coords, lo, cell, search):
+        for s, p in _grid_neighbours(coords, lo, cell, search,
+                                     None if singles else comp):
             if not singles:
-                joins = comp[s] != comp[p]
+                cp = comp.take(p)
+                joins = comp.take(s) != cp
                 if not wide:  # a pair with both ends searched is found twice
-                    joins &= (comp[p] == giant) | (s < p)
-                s, p = s[joins], p[joins]
+                    joins &= (cp == giant) | (s < p)
+                s, p = _select(joins, s, p)
             if has_cheap:  # a pair with a discount end comes from that end's row
-                far = ~(cheap[s] | cheap[p])
-                s, p = s[far], p[far]
+                s, p = _select(~(cheap.take(s) | cheap.take(p)), s, p)
             keep(*price(s, p, limit))
         for k in np.flatnonzero(cheap):
-            p = np.flatnonzero((comp != comp[k]) & ~(cheap & (np.arange(n) < k)))
+            other = comp != comp[k]
+            other[:k] &= ~cheap[:k]
+            p = np.flatnonzero(other)
             h = weigh(k, p)
-            p, h = p[h < limit], h[h < limit]
-            keep(np.full(len(p), k, dtype=np.int32), p.astype(np.int32), h)
+            p, h = _select(h < limit, p, h)
+            keep(np.full(len(p), k), p, h)
         # arrays are dropped as soon as they are spent: the first band's
         # transients set the solver's peak memory
         i, j, h = (np.concatenate(col) for col in zip(*found))
         del found
+    del search
     by_kappa = _kappa_order(i, j, h)
-    i, j, h = i[by_kappa], j[by_kappa], h[by_kappa]
+    i, j, h = i.take(by_kappa), j.take(by_kappa), h.take(by_kappa)
     del by_kappa
-    picked, n_comp, label = _boruvka(n_comp, comp[i], comp[j])
-    return (i[picked], j[picked], h[picked]), n_comp, label[comp]
+    picked, n_comp, label = _boruvka(n_comp, _gather(comp, i), _gather(comp, j))
+    picked = picked.astype(np.intp)
+    return (i.take(picked), j.take(picked), h.take(picked)), n_comp, _gather(label, comp)
 
 
 def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
@@ -652,7 +746,7 @@ def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
         tree.append(edges)
         radius *= 2.0
     ei, ej, w = (np.concatenate(col) for col in zip(*tree))
-    return MstResult(n, ei.astype(np.int64), ej.astype(np.int64), w)
+    return _tree(n, ei.astype(np.int64), ej.astype(np.int64), w)
 
 
 @lru_cache(maxsize=8)
@@ -748,9 +842,10 @@ def mst_with_point(
     jj = np.concatenate([tree.edge_j, np.full(n, n)])
     ww = np.concatenate([tree.base_weights, row_weight_fn(spec, coords)(star, n)])
     order = _kappa_order(ii, jj, ww)
-    picked = order[_boruvka(n + 1, ii[order].astype(np.int32),
-                            jj[order].astype(np.int32))[0]]
-    return MstResult(n + 1, ii[picked], jj[picked], ww[picked])
+    picked, _, _ = _boruvka(n + 1, ii.take(order).astype(np.int32),
+                            jj.take(order).astype(np.int32))
+    picked = order.take(picked.astype(np.intp))
+    return _tree(n + 1, ii.take(picked), jj.take(picked), ww.take(picked))
 
 
 class NotASpanningTreeError(ValueError):

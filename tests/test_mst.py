@@ -10,7 +10,9 @@ solvers against both.
 import contextlib
 import itertools
 import math
+import sys
 import tracemalloc
+from itertools import repeat
 from unittest import mock
 
 import numpy as np
@@ -46,12 +48,16 @@ from locmst.mst import (
     _boruvka,
     _grid_neighbours,
     _kappa_order,
+    _gather,
     _merges,
     _pairs,
+    _power_sum,
     _reject_duplicates,
+    _select,
     _straggler_rows,
 )
 from locmst.weights import (
+    DegenerateEdgeError,
     WeightSpec,
     euclidean_spec,
     hotspot_spec,
@@ -290,7 +296,7 @@ def assert_same_tree(got, want):
 BAND_FAMILIES = (
     "uniform", "lattice", "collinear", "zero_area", "cell_boundaries",
     "rescaled", "far_clusters", "moat", "discount_points", "frame",
-    "satellites",
+    "satellites", "gaussian_mixture", "two_lines",
 )
 # 48 positions on a ring around (0.5, 0.5), 1/16 apart, so pairs tie
 SATELLITE_RING = 0.5 + np.array(
@@ -322,6 +328,11 @@ def band_instance(family: str, n: int, rng) -> np.ndarray:
         half = n // 2
         near = rng.random((half, 2)) * 1e-3
         return np.vstack([near, 0.9 + rng.random((n - half, 2)) * 1e-3])
+    if family == "gaussian_mixture":  # four clusters, sigma = 0.01
+        centres = rng.random((4, 2))
+        return centres[rng.integers(0, 4, n)] + 0.01 * rng.standard_normal((n, 2))
+    if family == "two_lines":  # two parallel lines 0.1 apart
+        return np.stack([rng.random(n), 0.45 + 0.1 * (rng.random(n) < 0.5)], 1)
     if family == "moat":  # a small cluster inside an empty square ring
         pts = rng.random((6 * n, 2))
         outside = pts[np.abs(pts - 0.5).max(axis=1) > 0.35][: n - 5]
@@ -523,6 +534,40 @@ def test_a_solve_whose_every_band_joins_never_finishes_from_rows(case):
     assert "rows" not in band_searches(calls)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_stalled_bands_on_far_clusters_enumerate_no_pair(kind):
+    # once each cluster is one component, a band whose windows cannot
+    # reach the other cluster (radius below the clusters' y gap) holds
+    # only pairs inside the searcher's own component, and skips them all
+    spec = spec_from_kind(kind)
+    stalled = 0
+    for seed in range(4):
+        pts = band_instance("far_clusters", 300, np.random.default_rng(seed))
+        bands = []  # [radius, components before, after, pairs enumerated]
+
+        def band(*args):
+            bands.append([args[3], args[5], None, 0])
+            out = _band_forest(*args)
+            bands[-1][2] = out[1]
+            return out
+
+        def grid(*args):
+            for s, p in _grid_neighbours(*args):
+                bands[-1][3] += len(s)
+                yield s, p
+
+        with mock.patch.object(mst_module, "_band_forest", band), \
+                mock.patch.object(mst_module, "_grid_neighbours", grid):
+            got = mst_bands(spec, pts)
+        gap = 0.9 - pts[: len(pts) // 2, 1].max()
+        for radius, before, after, pairs in bands:
+            if before == after and radius < gap:
+                stalled += 1
+                assert pairs == 0, (seed, radius, pairs)
+        assert_same_tree(got, mst_prim_dense(spec, pts))
+    assert stalled >= 20
+
+
 def stencil_pairs(pts, cell, search) -> list[tuple[int, int]]:
     """Every (s, p) pair `_grid_neighbours` yields, as (min, max)."""
     out = []
@@ -627,6 +672,52 @@ def test_both_stencils_stay_exact_on_strip_key_extremes(case, chunk):
                 got = set(stencil_pairs(pts, cell, search))
                 assert {(a, b) for a, b in close
                         if a in searched or b in searched} <= got
+
+
+@pytest.mark.parametrize("chunk", [_BAND_CHUNK, 7])
+def test_sliced_gather_and_select_equal_plain_subscripts(chunk, monkeypatch):
+    # empty, all-false, all-true and masks that straddle chunk edges; the
+    # pairs are int32, as the band solver stores them
+    monkeypatch.setattr(mst_module, "_BAND_CHUNK", chunk)
+    rng = np.random.default_rng(0)
+    x = rng.random(50)
+    labels = rng.integers(0, 50, 50).astype(np.int32)
+    for m in (0, 1, 6, 7, 8, 15, 22, 100):
+        index = rng.integers(0, 50, m).astype(np.int32)
+        for src in (x, labels):
+            got = _gather(src, index)
+            assert got.dtype == src.dtype
+            np.testing.assert_array_equal(got, src[index])
+        arrays = (index, np.arange(m), rng.random(m))
+        for keep in (np.zeros(m, bool), np.ones(m, bool), rng.random(m) < 0.5,
+                     np.arange(m) % chunk == chunk - 1, np.arange(m) % chunk == 0):
+            got = _select(keep, *arrays)
+            assert len(got) == len(arrays)
+            for g, a in zip(got, arrays):
+                assert g.dtype == a.dtype
+                np.testing.assert_array_equal(g, a[keep])
+
+
+# Traced peak bytes per point of a 2^16 mst_bands solve, uniform points at
+# seed 0: 156.4 (euclidean) and 205.8 (hotspot) before index arrays were
+# made intp in the band solver, plus 5% headroom.  A wrapper of `_boruvka`
+# keeps its arguments alive and would read about 25 bytes per point more,
+# so the solve is traced as it runs.
+PEAK_BYTES_PER_POINT = {"euclidean": 156.4 * 1.05, "hotspot": 205.8 * 1.05}
+
+
+@pytest.mark.parametrize("kind", sorted(PEAK_BYTES_PER_POINT))
+def test_band_solver_peak_memory_is_pinned(kind):
+    spec = spec_from_kind(kind)
+    pts = np.random.default_rng(0).random((1 << 16, 2))
+    mst_bands(spec, pts[:1000])  # caches such as the hotspot layout
+    tracemalloc.start()
+    try:
+        mst_bands(spec, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(pts) <= PEAK_BYTES_PER_POINT[kind]
 
 
 def kruskal_by_rank(n_comp, a, b):
@@ -779,6 +870,51 @@ def test_total_weight_equals_the_elementwise_sum_exactly(kind):
         for alpha in (0.5, 0.7, 1, 2, 3, 1.0, 2.0, 3.0):
             loop = math.fsum(float(w) ** alpha for w in r.base_weights)
             assert r.total_weight(alpha) == loop
+
+
+def test_alpha_one_scores_skip_pow_bit_for_bit():
+    # pow(v, 1.0) == v for every positive float, subnormals and the largest
+    # included, so the alpha = 1 score is the plain fsum of the weights
+    rng = np.random.default_rng(0)
+    bits = rng.integers(1, 0x7FF0000000000000, 1 << 20, dtype=np.int64)
+    values = (bits.view(float).tolist()
+              + [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+              + [k * 5e-324 for k in range(1, 4097)]
+              + [np.nextafter(1.0, 0.0), sys.float_info.max])
+    assert [pow(v, 1.0) for v in values] == values
+    # sums that do not overflow: everything below 2**1000, then the top
+    # values in pairs
+    low = [v for v in values if v < 2.0**1000]
+    for part in [low, low[::7], [5e-324] * 3] + [values[k:k + 2] for k in range(20)]:
+        assert _power_sum(part, 1.0) == math.fsum(map(pow, part, repeat(1.0)))
+        assert _power_sum(part, 1) == _power_sum(part, 1.0)
+
+
+TINY_SOLVERS = SOLVERS[:3] + (minimum_spanning_tree,)
+
+
+@pytest.mark.parametrize("side", [3e-160, 3e-161])
+@pytest.mark.parametrize("kind", KINDS)
+def test_weights_that_underflow_to_zero_raise_from_every_solver(kind, side):
+    # distinct points closer than about 1e-162 in x and y: dx*dx + dy*dy
+    # underflows, h = 0, and pair_weight refuses the pair; every solver
+    # refuses the tree it would build on such a pair
+    spec = spec_from_kind(kind)
+    pts = np.random.default_rng(0).random((300, 2)) * side
+    for solver in TINY_SOLVERS:
+        with pytest.raises(DegenerateEdgeError, match="underflows"):
+            solver(spec, pts)
+    with pytest.raises(DegenerateEdgeError):  # the pair named at either side
+        pair_weight(spec, pts[12], pts[247])
+    # eight points, two of them 1e-163 apart
+    few = np.vstack([[0.0, 0.0], [1e-163, 0.0], 1e-150 * (1 + np.arange(12).reshape(6, 2))])
+    with pytest.raises(DegenerateEdgeError):
+        mst_brute_force(spec, few)
+    # a new point 1e-163 from an old one
+    coords = pts * 1e10
+    tree = minimum_spanning_tree(spec, coords)
+    with pytest.raises(DegenerateEdgeError):
+        mst_with_point(spec, coords, tree, coords[5] + [1e-163, 0.0])
 
 
 def test_brute_force_size_cap():
