@@ -564,19 +564,22 @@ def good_square_probe(
     # t_new lies in t_old plus the pairs of x, which has the largest index
     star = np.sort(t_new.edge_i[t_new.edge_j == new_vertex])
     added = tuple((i, new_vertex) for i in star.tolist())
-    # edge (lo, hi) as the key lo * m + hi: sorted keys are sorted edges
-    m = new_vertex + 1
-    old_keys = np.sort(t_old.edge_i * m + t_old.edge_j)
-    gone = np.setdiff1d(old_keys, t_new.edge_i * m + t_new.edge_j,
-                        assume_unique=True)
-    removed = tuple(zip(*(k.tolist() for k in np.divmod(gone, m))))
+    removed = ()
+    if len(star) > 1:  # with one star edge, t_new keeps all n - 1 old edges
+        # edge (lo, hi) as the key lo * m + hi: sorted keys are sorted edges
+        m = new_vertex + 1
+        old_keys = np.sort(t_old.edge_i * m + t_old.edge_j)
+        gone = np.setdiff1d(old_keys, t_new.edge_i * m + t_new.edge_j,
+                            assume_unique=True)
+        removed = tuple(zip(*(k.tolist() for k in np.divmod(gone, m))))
     edge_ok = (
         len(removed) == 0
         and len(added) == 1
         and added[0] == (v_min, new_vertex)
     )
+    w_new, w_old = t_new.base_weights.tolist(), t_old.base_weights.tolist()
     increments = tuple(
-        t_new.total_weight(a) - t_old.total_weight(a) for a in alphas
+        _power_sum(w_new, a) - _power_sum(w_old, a) for a in alphas
     )
     brackets = tuple(
         (((3 * g - 1) * side) ** a, ((5 * g - 1) * side) ** a) for a in alphas
@@ -650,7 +653,8 @@ def _study_task(args) -> tuple:
     occ = occupied_cells(tiling, coords)
     gs = _gap_stat(tiling.s, occ)
     g_count = _isolated_count(tiling.s, occ)
-    totals = {a: result.total_weight(a) for a in alphas}
+    weights = result.base_weights.tolist()  # once for every alpha
+    totals = {a: _power_sum(weights, a) for a in alphas}
     s_alphas = {a: gs.s_alpha(a) for a in alphas}
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return (n, rep, totals, s_alphas, g_count, result.max_degree, runtime_ms)

@@ -80,10 +80,15 @@ the solver's peak memory.
 
 ``mst_with_point(spec, coords, tree, x)`` adds one point to a solved tree
 without solving again.  The tree of X and x lies in the tree of X plus
-the n pairs of x (Chin and Houck, "Algorithms for updating minimal
-spanning trees", JCSS 1978), so the same kappa sort and ``_boruvka`` run
-over those 2n - 1 edges only.  It is an update built from the Kruskal
-core, not another solver, and it returns the solvers' tree bit for bit.
+the n pairs of x, its star (Chin and Houck, "Algorithms for updating
+minimal spanning trees", JCSS 1978).  A star pair whose h exceeds the
+tree's largest weight, other than the kappa-least star pair, is the
+kappa-largest edge of the cycle it closes with that pair and the tree
+path between them, so it is cut before the sort.  The same kappa sort
+and ``_boruvka`` then run over the n - 1 tree edges and the few star
+pairs left: on the good-square probe, the twelve satellites.  It is an
+update built from the Kruskal core, not another solver, and it returns
+the solvers' tree bit for bit.
 
 Two more constructions serve as test oracles:
 
@@ -494,18 +499,26 @@ def _grid_neighbours(coords, lo, cell, search, comp=None):
             own = ((changes.take(first) == changes.take(last))
                    & (sorted_comp.take(first) == comp.take(owner)))
             np.putmask(length, own, 0)
-        cuts = np.flatnonzero(np.diff((np.cumsum(length) - length) // _BAND_CHUNK))
-        for part in np.split(np.arange(len(length)), cuts + 1):
-            ln = length.take(part)
+        if length.sum() <= _BAND_CHUNK:  # one chunk: no split to find
+            parts = [(owner, start, length)]
+        else:
+            cuts = np.flatnonzero(np.diff((np.cumsum(length) - length) // _BAND_CHUNK))
+            parts = ((owner.take(part), start.take(part), length.take(part))
+                     for part in np.split(np.arange(len(length)), cuts + 1))
+        for who, begin, ln in parts:
             run = np.cumsum(ln) - ln
-            pos = np.arange(run[-1] + ln[-1]) + np.repeat(start.take(part) - run, ln)
-            yield np.repeat(owner.take(part), ln), order.take(pos)
+            pos = np.arange(run[-1] + ln[-1]) + np.repeat(begin - run, ln)
+            yield np.repeat(who, ln), order.take(pos)
 
 
 def _gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     """x[index] for an index as long as a band, such as its int32 pairs:
     cast to intp a _BAND_CHUNK slice at a time, so that no intp copy of
-    the whole index is made."""
+    the whole index is made.  An index of at most _BAND_CHUNK entries, as
+    in most of Boruvka's rounds, is cast whole and taken at once: that
+    copy is no larger than one slice."""
+    if len(index) <= _BAND_CHUNK:
+        return x.take(index.astype(np.intp))
     out = np.empty(len(index), x.dtype)
     for k in range(0, len(index), _BAND_CHUNK):
         out[k:k + _BAND_CHUNK] = x.take(index[k:k + _BAND_CHUNK].astype(np.intp))
@@ -699,9 +712,15 @@ def _band_forest(weights, coords, lo, cell, comp, n_comp, cheap, limit, stalled)
     by_kappa = _kappa_order(i, j, h)
     i, j, h = i.take(by_kappa), j.take(by_kappa), h.take(by_kappa)
     del by_kappa
-    picked, n_comp, label = _boruvka(n_comp, _gather(comp, i), _gather(comp, j))
+    # in the first band comp is the identity, so the pairs are their own
+    # component pairs
+    if singles:
+        picked, n_comp, comp = _boruvka(n_comp, i, j)
+    else:
+        picked, n_comp, label = _boruvka(n_comp, _gather(comp, i), _gather(comp, j))
+        comp = _gather(label, comp)
     picked = picked.astype(np.intp)
-    return (i.take(picked), j.take(picked), h.take(picked)), n_comp, _gather(label, comp)
+    return (i.take(picked), j.take(picked), h.take(picked)), n_comp, comp
 
 
 def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
@@ -726,8 +745,11 @@ def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     cheap = in_central_cells(spec, coords)
     # taken from the weight functions themselves, not the declared band
     lam = spec.c2 if spec.kind == "hotspot" else 1.0
-    lo = coords.min(axis=0)
-    span = float((coords.max(axis=0) - lo).max())
+    # column by column: numpy's reduction along axis 0 of an (n, 2) array
+    # is about 12 times slower than one over each strided column
+    x, y = coords[:, 0], coords[:, 1]
+    lo = np.array([x.min(), y.min()])
+    span = float(max(x.max() - lo[0], y.max() - lo[1]))
     # h / d is typically near the band's geometric mean
     radius = _initial_radius(coords, lo, span) * math.sqrt(spec.c2 / lam)
     # the strips, radius wide, must not be finer than span / _GRID_CELLS
@@ -826,21 +848,31 @@ def mst_with_point(
     new tree lies in ``tree`` plus the star of x (Chin and Houck,
     "Algorithms for updating minimal spanning trees", 1978): every other
     pair of the old points is the kappa-largest edge of a cycle in
-    ``tree``, and that cycle is still there.  Kruskal over these 2n - 1
-    edges, as Boruvka rounds over their kappa ranks, gives the tree of all
-    n + 1 points.  Old pairs keep their indices and recorded weights, and
-    the star is priced as every solver prices its pairs, so the result is
-    edge for edge and bit for bit the one a solve returns.
+    ``tree``, and that cycle is still there.  Of the star, only the pairs
+    with h at most the tree's largest weight, and the kappa-least pair,
+    can join: any other star pair lies above every tree edge and above
+    the kappa-least star pair, so it is the kappa-largest edge of the
+    cycle it closes with that pair and the tree path between their ends.
+    Kruskal over the tree and the kept star pairs, as Boruvka rounds over
+    their kappa ranks, gives the tree of all n + 1 points.  Old pairs keep
+    their indices and recorded weights, and the star is priced as every
+    solver prices its pairs, so the result is edge for edge and bit for
+    bit the one a solve returns.
     """
     coords = np.asarray(coords, dtype=float)
     n = len(coords)
     if tree.n != n:
         raise ValueError(f"a tree of {tree.n} points, but {n} coordinates")
     coords = _validate_coords(np.vstack([coords, np.reshape(x, (1, 2))]))
-    star = np.arange(n)
+    h = row_weight_fn(spec, coords)(np.arange(n), n)
+    # the star pairs that can join: h up to the tree's largest weight, ties
+    # kept, or else the cheapest one alone
+    star = np.flatnonzero(h <= np.max(tree.base_weights, initial=-np.inf))
+    if n and not len(star):
+        star = np.argmin(h, keepdims=True)  # first of ties: kappa-least
     ii = np.concatenate([tree.edge_i, star])
-    jj = np.concatenate([tree.edge_j, np.full(n, n)])
-    ww = np.concatenate([tree.base_weights, row_weight_fn(spec, coords)(star, n)])
+    jj = np.concatenate([tree.edge_j, np.full(len(star), n)])
+    ww = np.concatenate([tree.base_weights, h.take(star)])
     order = _kappa_order(ii, jj, ww)
     picked, _, _ = _boruvka(n + 1, ii.take(order).astype(np.int32),
                             jj.take(order).astype(np.int32))

@@ -8,8 +8,8 @@ mix(seed, e, r).
 An unconditioned draw of n points is ``rng.random((n, 2))``.  A draw
 conditioned to miss a square takes batches of candidates and keeps those
 outside it; each batch is followed in the stream by one acceptance
-uniform per candidate, drawn and discarded, so the seed-pinned draws of
-the probes keep their place in the stream.
+uniform per candidate, skipped unread, so the seed-pinned draws of the
+probes keep their place in the stream.
 """
 
 from __future__ import annotations
@@ -60,7 +60,11 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 def _rejection_sample(
     n: int, rng: np.random.Generator, avoid: Rect | None = None
 ) -> np.ndarray:
-    """n i.i.d. uniform points, conditioned to miss ``avoid`` if given."""
+    """n i.i.d. uniform points, conditioned to miss ``avoid`` if given.
+
+    A conditioned draw skips its acceptance uniforms by advancing the bit
+    generator, which must be a PCG64, as ``derive_rng``'s is.
+    """
     if avoid is None:
         return rng.random((n, 2))
     out = np.empty((n, 2))
@@ -69,12 +73,14 @@ def _rejection_sample(
         if have == n:
             return out
         want = n - have
-        # The batch size and the discarded acceptance uniforms fix where
+        # The batch size and the skipped acceptance uniforms fix where
         # each round sits in the stream: both are part of every
         # seed-pinned conditioned draw.
         batch = max(1024, 3 * want)
         pts = rng.random((batch, 2))
-        rng.random(batch)
+        # PCG64 spends one 64-bit word per double: skipping batch words
+        # leaves the stream where drawing the uniforms would
+        rng.bit_generator.advance(batch)
         # flatnonzero + take: numpy's boolean subscript is several times slower
         acc = pts.take(np.flatnonzero(~avoid.contains(pts[:, 0], pts[:, 1])), axis=0)
         take = min(len(acc), want)

@@ -829,20 +829,58 @@ def test_pair_table_gives_the_trees_of_the_row_major_pairs(family):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("family", BAND_FAMILIES)
-@given(n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
-@example(n=0, seed=0)
-@example(n=_KRUSKAL_MAX_N, seed=0)  # a Kruskal tree updated to a bands tree
+@given(n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
+       x_at=st.sampled_from(("drawn", "far", "discount")))
+@example(n=0, seed=0, x_at="drawn")
+@example(n=_KRUSKAL_MAX_N, seed=0, x_at="drawn")  # a Kruskal tree updated to a bands tree
+# the star cut: a tree with no edge and with one; every star pair above
+# the tree's largest weight, so only the cheapest is kept; on the 4 x 4
+# dyadic lattice, star pairs that tie the largest weight exactly; x on a
+# discount cell, whose star pairs are cheap
+@example(n=1, seed=0, x_at="drawn")
+@example(n=2, seed=0, x_at="drawn")
+@example(n=200, seed=0, x_at="far")
+@example(n=15, seed=0, x_at="drawn")
+@example(n=200, seed=0, x_at="discount")
 @settings(max_examples=15, deadline=None)
-def test_adding_a_point_equals_a_fresh_solve(family, kind, n, seed):
+def test_adding_a_point_equals_a_fresh_solve(family, kind, n, seed, x_at):
     # x is drawn with the other points, so on a lattice it is a lattice
     # point too, and its pairs tie with each other and with tree edges
     spec = spec_from_kind(kind)
     pts = band_instance(family, n + 1, np.random.default_rng(seed))
+    if x_at == "far":
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        pts[-1] = hi + 10 * (float((hi - lo).max()) + 1)
+    elif x_at == "discount":
+        cell = hotspot_spec().layout.central_cells()[0]
+        pts[-1] = (cell.xmin + 0.3137 * (cell.xmax - cell.xmin),
+                   cell.ymin + 0.6829 * (cell.ymax - cell.ymin))
     coords, x = pts[:-1], pts[-1]
     with watched_bands():  # neither path sorts its finished tree
         got = mst_with_point(spec, coords, minimum_spanning_tree(spec, coords), x)
         want = minimum_spanning_tree(spec, pts)
     assert_same_tree(got, want)
+
+
+def test_the_probe_point_joins_through_its_satellites_only():
+    # every other star pair of the probe's x lies above the tree's largest
+    # weight, so Boruvka gets the old tree and the twelve satellites' pairs
+    sizes = []
+    with_point, boruvka = mst_module.mst_with_point, mst_module._boruvka
+
+    def spy(n_comp, a, b):
+        sizes.append((n_comp, len(a)))
+        return boruvka(n_comp, a, b)
+
+    def watched(spec, coords, tree, x):
+        with mock.patch.object(mst_module, "_boruvka", spy):
+            return with_point(spec, coords, tree, x)
+
+    with mock.patch("locmst.experiments.mst_with_point", watched):
+        rep = good_square_probe(5, n=2000)
+    assert rep.ok
+    n = rep.new_vertex  # the old points
+    assert sizes and all(c == n + 1 and m <= n - 1 + 12 for c, m in sizes)
 
 
 @pytest.mark.parametrize("kind", KINDS)

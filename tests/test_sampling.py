@@ -179,6 +179,30 @@ def test_avoid_draw_pinned_and_outside():
     )
 
 
+def _draw_and_discard(n, rng, avoid):
+    """The conditioned draw's use of the stream, with its acceptance
+    uniforms drawn and thrown away."""
+    have = 0
+    while have < n:
+        batch = max(1024, 3 * (n - have))
+        pts = rng.random((batch, 2))
+        rng.random(batch)
+        outside = int((~avoid.contains(pts[:, 0], pts[:, 1])).sum())
+        have += min(outside, n - have)
+
+
+@pytest.mark.parametrize("avoid", [_MOAT, Rect(0.25, 0.5, 0.5, 0.75)])
+def test_skipped_uniforms_leave_the_stream_where_drawing_them_would(avoid):
+    # the moat leaves an eighth of the square, so the larger draws take
+    # several rounds
+    for seed in range(3):
+        for n in (1, 1987, 5000):
+            rng, ref = derive_rng(seed, n), derive_rng(seed, n)
+            _rejection_sample(n, rng, avoid=avoid)
+            _draw_and_discard(n, ref, avoid)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_conditioned_draw_is_uniform_off_the_square():
     """Outside the avoided square the points are uniform: the strip left
     of the moat holds its share of the remaining area."""
