@@ -234,10 +234,6 @@ class BoundsResult:
     beta_up: float
     A_up: float
 
-    @property
-    def delta(self) -> float:
-        return delta_for(self.alpha, self.eps1, self.eps2)
-
     def bracket(self, n: int) -> tuple[float, float]:
         """(lower, upper) for the expected total tree weight at n points."""
         scale = float(n) ** (1.0 - self.alpha / 2.0)

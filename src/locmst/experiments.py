@@ -20,6 +20,7 @@ import mmap
 import os
 import pickle
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -96,10 +97,6 @@ def _gap_stat(s: int, occ: np.ndarray) -> GapStat:
     return GapStat(s=s, occupied=tuple(occ.tolist()), gaps=gaps)
 
 
-def gap_stat(tiling: Tiling, coords: np.ndarray) -> GapStat:
-    return _gap_stat(tiling.s, occupied_cells(tiling, coords))
-
-
 def gap_stat_monotonicity(
     tiling: Tiling, coords: np.ndarray, alpha: float, extra
 ) -> tuple[bool, float, float]:
@@ -124,16 +121,12 @@ def gap_stat_monotonicity(
 # Grid-certified lower and upper bounds on the MST weight
 
 
-def isolated_cell_count(tiling: Tiling, coords: np.ndarray) -> int:
-    """Occupied cells whose 8 corner-sharing neighbours are all empty.
+def _isolated_count(s: int, occ: np.ndarray) -> int:
+    """Occupied cells, given as sorted unique snake indices, whose 8
+    corner-sharing neighbours are all empty.
 
     Cells on the grid boundary just use the neighbours they have.
     """
-    return _isolated_count(tiling.s, occupied_cells(tiling, coords))
-
-
-def _isolated_count(s: int, occ: np.ndarray) -> int:
-    """`isolated_cell_count` from the occupied snake indices."""
     padded = np.zeros((s + 2, s + 2), dtype=np.uint8)
     grid = padded[1:-1, 1:-1]
     grid[_snake_cell(s, occ)] = 1
@@ -321,16 +314,17 @@ class Prop1Report:
 def _sample_in_rect(rect: Rect, rng) -> np.ndarray:
     """One uniform point in a rectangle.
 
-    Draws a batch of 32 proposals scaled into the rectangle and the 32
-    acceptance uniforms that follow it in the stream, and returns the
-    first proposal: the draws ``prop1_demo``'s conditional mode is
-    pinned with.
+    Scales the first of a batch of 32 proposals into the rectangle, and
+    skips the rest of the batch and the 32 acceptance uniforms that follow
+    it in the stream: the draws ``prop1_demo``'s conditional mode is
+    pinned with.  PCG64, as ``derive_rng``'s is, spends one 64-bit word
+    per double, so the skip is 62 + 32 words.
     """
-    pts = rng.random((32, 2))
-    rng.random(32)
+    x, y = rng.random(2)
+    rng.bit_generator.advance(94)
     return np.array([
-        rect.xmin + pts[0, 0] * (rect.xmax - rect.xmin),
-        rect.ymin + pts[0, 1] * (rect.ymax - rect.ymin),
+        rect.xmin + x * (rect.xmax - rect.xmin),
+        rect.ymin + y * (rect.ymax - rect.ymin),
     ])
 
 
@@ -632,7 +626,7 @@ class StudyResult:
 # Points, reps * sum(n_list), from which a study with threads=None forks
 # children.  On a 2-core VM (Python 3.11), forking one child and reaping
 # it costs about 4 ms (median of 30 maps of four trivial tasks) and a
-# claim two pipe syscalls, against 3-11 us per point in one process.
+# claim two fcntl syscalls, against 3-11 us per point in one process.
 # Median ms in one process / in this one and one child, euclidean,
 # shifted, hotspot, alphas 1 and 2, 15 alternating pairs (7 in the last):
 # n = 256..512, 2 reps (1 536 points): 13/18, 13/18, 13/18;
@@ -693,22 +687,25 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
     children forked once.
 
     Each process claims one task at a time from the unclaimed range
-    [lo, hi), two int64s in shared memory, under a lock that is a
-    one-byte pipe (read to take it, write to give it back).  Children
-    claim from the front and this process from the back, so with tasks
-    sorted largest first it solves the small ones.  A child sends its
-    (position, result) pairs once, pickled, down its own pipe.  An
-    exception in any process empties the range and is raised here as it
-    is; a child that dies raises ChildProcessError.  Every child has been
-    reaped and every pipe closed when the call returns or raises.
+    [lo, hi), two int64s in shared memory, under a POSIX record lock on
+    a temporary file, which the kernel releases when its holder dies: a
+    child killed while it claims cannot leave the lock taken.
+    Children claim from the front and this process from the back, so
+    with tasks sorted largest first it solves the small ones.  A child
+    sends its (position, result) pairs once, pickled, down its own pipe.
+    An exception in any process empties the range and is raised here as
+    it is; a child that dies raises ChildProcessError.  Every child has
+    been reaped and every pipe and the lock file closed when the call
+    returns or raises.
     """
+    import fcntl  # not at import: only a study loads it
+
     span = memoryview(mmap.mmap(-1, 16)).cast("q")
     span[1] = len(tasks)
-    lock_r, lock_w = os.pipe()
-    os.write(lock_w, b"-")
+    lock = tempfile.TemporaryFile()
 
     def claim(front: bool, stop: bool = False) -> int | None:
-        os.read(lock_r, 1)
+        fcntl.lockf(lock, fcntl.LOCK_EX)
         try:
             lo, hi = span
             if stop or lo >= hi:
@@ -720,7 +717,7 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
             span[1] = hi - 1
             return hi - 1
         finally:
-            os.write(lock_w, b"-")
+            fcntl.lockf(lock, fcntl.LOCK_UN)
 
     def share(front: bool) -> list:
         done = []
@@ -758,8 +755,9 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
                 sent.append(src.read())
     finally:
         claim(False, stop=True)
-        for fd in (*pipes, lock_r, lock_w):  # a child still writing: EPIPE
+        for fd in pipes:  # a child still writing: EPIPE
             os.close(fd)
+        lock.close()
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                  for pid in pids]
     for pid, code, data in zip(pids, codes, sent):

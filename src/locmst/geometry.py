@@ -55,26 +55,13 @@ class Rect:
 
 @dataclass(frozen=True)
 class Tiling:
-    """An s x s grid of square cells over the unit square.
+    """An s x s grid of square cells over the unit square."""
 
-    ``a_n`` is the realized side parameter; the cell side is ``a_n /
-    sqrt(n)``, which equals ``1/s`` exactly.
-    """
-
-    n: int
-    a_n: float
     s: int
 
     @property
     def cell_side(self) -> float:
         return 1.0 / self.s
-
-    @classmethod
-    def from_grid(cls, n: int, s: int) -> "Tiling":
-        """Build a tiling directly from a grid resolution (a_n = sqrt(n)/s)."""
-        if s < 1:
-            raise ValueError("s must be >= 1")
-        return cls(n=n, a_n=math.sqrt(n) / s, s=s)
 
 
 def build_tiling(n: int, a_target: float = 1.0) -> Tiling:
@@ -84,21 +71,18 @@ def build_tiling(n: int, a_target: float = 1.0) -> Tiling:
     a_target <= a_n <= a_target + 1/log(n).  Equivalently s is the largest
     integer <= sqrt(n)/a_target that still satisfies the upper bracket.
 
-    Raises NoAdmissibleAError when the window contains no integer ratio;
-    the message names the nearest n for which it does.
+    Raises NoAdmissibleAError when the window contains no integer ratio.
     """
     if n < 3:
         raise ValueError("need n >= 3 so that log(n) > 1")
     if a_target <= 0:
         raise ValueError("a_target must be positive")
     s = _admissible_s(n, a_target)
-    if s is not None:
-        return Tiling(n=n, a_n=math.sqrt(n) / s, s=s)
-    near = _nearest_admissible_n(n, a_target)
-    raise NoAdmissibleAError(
-        f"no admissible side parameter for n={n}, a_target={a_target}; "
-        f"nearest admissible n is {near}"
-    )
+    if s is None:
+        raise NoAdmissibleAError(
+            f"no admissible side parameter for n={n}, a_target={a_target}"
+        )
+    return Tiling(s)
 
 
 def _admissible_s(n: int, a_target: float) -> int | None:
@@ -110,14 +94,6 @@ def _admissible_s(n: int, a_target: float) -> int | None:
         s -= 1
     if s >= 1 and root / s <= a_target + 1.0 / math.log(n):
         return s
-    return None
-
-
-def _nearest_admissible_n(n: int, a_target: float) -> int | None:
-    for d in range(1, 10000):
-        for cand in (n - d, n + d):
-            if cand >= 3 and _admissible_s(cand, a_target) is not None:
-                return cand
     return None
 
 
@@ -136,21 +112,6 @@ def _snake_cell(s: int, index):
     `snake_index`, elementwise over integer arrays."""
     col, k = divmod(index - 1, s)
     return col, k + (col & 1) * (s - 1 - 2 * k)
-
-
-def snake_order(s: int) -> np.ndarray:
-    """All cells as (col, row-from-top) pairs, listed in snake order.
-
-    Returns an (s*s, 2) int array; position k holds the cell with snake
-    index k+1.
-    """
-    return np.stack(_snake_cell(s, np.arange(1, s * s + 1, dtype=np.int64)), axis=1)
-
-
-def cell_of(tiling: Tiling, x: float, y: float) -> int:
-    """Snake index (1-based) of the cell containing (x, y); `cells_of` on
-    one point."""
-    return int(cells_of(tiling, np.array([[x, y]], dtype=float))[0])
 
 
 def cells_of(tiling: Tiling, coords: np.ndarray) -> np.ndarray:
@@ -180,18 +141,6 @@ def cells_of(tiling: Tiling, coords: np.ndarray) -> np.ndarray:
         lower = exact[:, 1] & (up > 0) & (col % 2 == 0)
         up = np.minimum(up - lower, s - 1)
     return snake_index(s, col, s - 1 - up)
-
-
-def cell_rect(tiling: Tiling, index: int) -> Rect:
-    """Rectangle of the cell with the given 1-based snake index."""
-    s = tiling.s
-    if not 1 <= index <= s * s:
-        raise ValueError(f"cell index {index} out of range for s={s}")
-    col, row = _snake_cell(s, index)
-    side = tiling.cell_side
-    x0 = col * side
-    y0 = (s - 1 - row) * side
-    return Rect(x0, y0, x0 + side, y0 + side)
 
 
 def occupied_cells(tiling: Tiling, coords: np.ndarray) -> np.ndarray:

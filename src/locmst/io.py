@@ -57,7 +57,7 @@ def _csv_header(config: dict | None) -> list[str]:
 def point_set_to_csv(ps: PointSet, config: dict | None = None) -> str:
     lines = _csv_header(config)
     lines.append("index,x,y")
-    for i, (x, y) in enumerate(ps.coords):
+    for i, (x, y) in enumerate(ps.coords.tolist()):
         lines.append(f"{i},{fmt_float(x)},{fmt_float(y)}")
     return "\n".join(lines) + "\n"
 
@@ -73,11 +73,9 @@ def mst_result_to_json(
         "alpha": alpha,
         "weight_kind": weight_kind,
         "total_weight": result.total_weight(alpha),
-        "edges": [
-            [int(i), int(j), float(w)]
-            for i, j, w in zip(result.edge_i, result.edge_j,
-                               result.base_weights)
-        ],
+        "edges": [list(e) for e in zip(result.edge_i.tolist(),
+                                       result.edge_j.tolist(),
+                                       result.base_weights.tolist())],
         "degrees": result.degrees.tolist(),
     }
     return envelope("mst", config, payload)
@@ -86,8 +84,9 @@ def mst_result_to_json(
 def mst_result_to_csv(result: MstResult, config: dict | None = None) -> str:
     lines = _csv_header(config)
     lines.append("i,j,base_weight")
-    for i, j, w in zip(result.edge_i, result.edge_j, result.base_weights):
-        lines.append(f"{int(i)},{int(j)},{fmt_float(w)}")
+    for i, j, w in zip(result.edge_i.tolist(), result.edge_j.tolist(),
+                       result.base_weights.tolist()):
+        lines.append(f"{i},{j},{fmt_float(w)}")
     return "\n".join(lines) + "\n"
 
 

@@ -48,13 +48,11 @@ class PointSet:
         return len(self.coords)
 
 
-def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
-
-
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Generator for stream ``key`` of root ``seed`` (splittable, stable)."""
-    return np.random.default_rng(seed_sequence(seed, *key))
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
+    )
 
 
 def _rejection_sample(

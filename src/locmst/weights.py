@@ -70,7 +70,6 @@ class HotspotLevel:
 @dataclass(frozen=True)
 class HotspotLayout:
     K: int
-    D: int
     levels: tuple[HotspotLevel, ...]
 
     def level(self, i: int) -> HotspotLevel:
@@ -125,7 +124,7 @@ def build_hotspot_layout(K: int, n_levels: int = 3) -> HotspotLayout:
         t += 10 * q
     if t > 1.0 + 1e-12:
         raise ValueError("levels overflow the unit square; D too small")
-    return HotspotLayout(K=K, D=D, levels=tuple(levels))
+    return HotspotLayout(K=K, levels=tuple(levels))
 
 
 @dataclass(frozen=True)

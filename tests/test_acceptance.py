@@ -183,7 +183,7 @@ def test_c04_deterministic_inequalities_never_fail():
 
 
 def test_c05_gap_statistic_is_monotone_in_added_points():
-    tiling = Tiling.from_grid(400, 20)
+    tiling = Tiling(20)
     violations = 0
     pairs = 0
     for j, alpha in enumerate((0.5, 1.0, 1.5, 2.0)):

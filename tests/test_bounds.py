@@ -160,7 +160,7 @@ class TestComputeBounds:
         r = compute_bounds(1.5, 0.4, 0.8, 0.9, 1.1)
         assert isinstance(r, BoundsResult)
         assert r.alpha == 1.5 and r.c1 == 0.9 and r.c2 == 1.1
-        assert r.delta == 0.8
+        assert r.eps1 == 0.4 and r.eps2 == 0.8  # delta_for picks eps2 here
         assert r.beta_low < r.beta_up
 
     def test_bracket_at_ten_thousand(self):

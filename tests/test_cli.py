@@ -1,6 +1,7 @@
 """Exercises the `locmst` command line through its Python entry point,
 and the README's reproduction commands as real processes."""
 
+import hashlib
 import json
 import os
 import resource
@@ -141,6 +142,26 @@ class TestSimulateCommand:
             ) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("argv, digests", [
+        (("--n", "100", "--process", "poisson", "--kind", "hotspot"), (
+            "8903bbb2bed99b20d579f7939e47e6100b98caff5c04ab5c9a47129bebed5ebd",
+            "be91cc6dfe233a40b308d581bf63c17b63ae3b2ee6f2f0b6826d60dbc0697bc9",
+            "c1ba3e3a845687ffa0c0d1a480a2f59d807721a0ebca14be687fc81455754c33",
+        )),
+        (("--n", "2000", "--kind", "euclidean"), (
+            "47e3fa85f2d65406409cd1d90fbe550857c4fe7ddfe31505a0e884da37b048ca",
+            "b8c4cd88cc0042dc94d32e0a9b397f84ae11a92749734374dc805bc476ab0be2",
+            "47dc41732094becc0825d4e869caa6b10fede4abbcc0d5b4f381910fe42bf060",
+        )),
+    ], ids=["hotspot-poisson", "euclidean"])
+    def test_artifacts_are_pinned(self, tmp_path, argv, digests):
+        # the SHA-256 of the points CSV, the tree JSON and the edges CSV
+        outs = [tmp_path / name for name in ("p.csv", "m.json", "e.csv")]
+        assert run_cli("simulate", *argv, "--out-points", outs[0],
+                       "--out-mst", outs[1], "--out-edges", outs[2]) == 0
+        got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in outs)
+        assert got == digests
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,9 +5,12 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,14 +23,14 @@ from locmst.experiments import (
     StudyResult,
     _event_log10,
     _fork_map,
+    _gap_stat,
+    _isolated_count,
     _ols_loglog,
     _sample_in_rect,
     _study_task,
     fit_study,
-    gap_stat,
     gap_stat_monotonicity,
     good_square_probe,
-    isolated_cell_count,
     lower_bound_stat,
     merge_bound_check,
     one_node_difference,
@@ -36,7 +39,14 @@ from locmst.experiments import (
     run_weight_study,
     tiled_upper_bound,
 )
-from locmst.geometry import Rect, Tiling, build_tiling, cell_rect, cells_of
+from locmst.geometry import (
+    Rect,
+    Tiling,
+    _snake_cell,
+    build_tiling,
+    cells_of,
+    occupied_cells,
+)
 from locmst.mst import (
     DuplicatePointsError,
     minimum_spanning_tree,
@@ -70,6 +80,8 @@ def assert_same_study(got: StudyResult, want: StudyResult) -> None:
 def no_fork():
     pytest.fail("forked for a study that should run in one process")
 
+
+ROOT = Path(__file__).resolve().parents[1]
 
 needs_fork = pytest.mark.skipif(sys.platform != "linux",
                                 reason="studies fork their children on Linux")
@@ -114,33 +126,32 @@ def deadline():
 
 
 def centers_of_cells(tiling: Tiling, indices) -> np.ndarray:
-    pts = []
-    for idx in indices:
-        r = cell_rect(tiling, idx)
-        pts.append([(r.xmin + r.xmax) / 2, (r.ymin + r.ymax) / 2])
-    return np.array(pts)
+    s, side = tiling.s, tiling.cell_side
+    col, row = _snake_cell(s, np.asarray(indices, dtype=np.int64))
+    x0, y0 = col * side, (s - 1 - row) * side  # the cell's lower-left corner
+    return np.stack([(x0 + (x0 + side)) / 2, (y0 + (y0 + side)) / 2], axis=1)
 
 
 class TestGapStat:
     def test_hand_example(self):
-        t = Tiling.from_grid(100, 4)
+        t = Tiling(4)
         pts = centers_of_cells(t, [3, 9])
-        gs = gap_stat(t, pts)
+        gs = _gap_stat(t.s, occupied_cells(t, pts))
         assert gs.occupied == (3, 9)
         assert gs.gaps == (2, 6, 7)
         assert gs.s_alpha(1.0) == pytest.approx(15.0)
         assert gs.s_alpha(2.0) == pytest.approx(4 + 36 + 49)
 
     def test_empty_configuration(self):
-        t = Tiling.from_grid(100, 4)
-        gs = gap_stat(t, np.empty((0, 2)))
+        t = Tiling(4)
+        gs = _gap_stat(t.s, occupied_cells(t, np.empty((0, 2))))
         assert gs.gaps == (15,)
         assert gs.s_alpha(0.5) == pytest.approx(math.sqrt(15))
 
     def test_zero_gaps_are_dropped_from_the_sum(self):
-        t = Tiling.from_grid(100, 3)
+        t = Tiling(3)
         pts = centers_of_cells(t, [1, 9])
-        gs = gap_stat(t, pts)
+        gs = _gap_stat(t.s, occupied_cells(t, pts))
         assert gs.gaps[0] == 0  # first occupied cell is snake index 1
         assert gs.s_alpha(1.0) == pytest.approx(8.0)
 
@@ -149,9 +160,9 @@ class TestGapStat:
         # loops exactly, so study records stay byte-identical
         rng = np.random.default_rng(3)
         for n, s in ((1, 4), (20, 5), (300, 17), (2000, 45)):
-            t = Tiling.from_grid(n, s)
+            t = Tiling(s)
             pts = rng.random((n, 2))
-            gs = gap_stat(t, pts)
+            gs = _gap_stat(t.s, occupied_cells(t, pts))
             occ = tuple(int(i) for i in np.unique(cells_of(t, pts)))
             assert gs.occupied == occ
             want = [occ[0] - 1]
@@ -182,9 +193,9 @@ class TestGapStat:
     @given(seed=st.integers(0, 99_999), n=st.integers(1, 60))
     @settings(max_examples=150)
     def test_gaps_partition_the_snake(self, seed, n):
-        t = Tiling.from_grid(2500, 50)
+        t = Tiling(50)
         pts = np.random.default_rng(seed).random((n, 2))
-        gs = gap_stat(t, pts)
+        gs = _gap_stat(t.s, occupied_cells(t, pts))
         assert sum(gs.gaps) == 50 * 50 - 1
         assert all(g >= 0 for g in gs.gaps)
 
@@ -195,17 +206,16 @@ class TestGapStat:
     @settings(max_examples=200)
     def test_monotone_under_adding_a_point(self, seed, alpha):
         rng = np.random.default_rng(seed)
-        t = Tiling.from_grid(400, 20)
+        t = Tiling(20)
         pts = rng.random((rng.integers(0, 40), 2))
         extra = rng.random(2)
         ok, before, after = gap_stat_monotonicity(t, pts, alpha, extra)
         assert ok, (alpha, before, after)
 
     def test_adding_into_occupied_cell_is_neutral(self):
-        t = Tiling.from_grid(100, 4)
+        t = Tiling(4)
         pts = centers_of_cells(t, [6])
-        r = cell_rect(t, 6)
-        nudged = [(r.xmin + r.xmax) / 2 + 1e-4, (r.ymin + r.ymax) / 2]
+        nudged = pts[0] + [1e-4, 0.0]
         for alpha in (0.5, 2.0):
             ok, before, after = gap_stat_monotonicity(t, pts, alpha, nudged)
             assert ok
@@ -217,10 +227,10 @@ class TestGapStat:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_monotonicity_equals_two_full_gap_stats(self, where, alpha):
         # both sets come from one cell map of the base set and the added
-        # point; the sums must be those of gap_stat on each set
-        t = Tiling.from_grid(100, 6)
+        # point; the sums must be those of _gap_stat on each set
+        t = Tiling(6)
         pts = np.random.default_rng(5).random((9, 2))
-        occupied = gap_stat(t, pts).occupied
+        occupied = _gap_stat(t.s, occupied_cells(t, pts)).occupied
         free = min(set(range(1, 37)) - set(occupied))
         extra = {
             "occupied": pts[3] + 1e-9,
@@ -237,47 +247,46 @@ class TestGapStat:
             assert cells_of(t, [extra]).tolist() == cells_of(t, pts[3:4]).tolist()
         added = np.vstack([pts, extra])
         ok, before, after = gap_stat_monotonicity(t, pts, alpha, extra)
-        assert before == gap_stat(t, pts).s_alpha(alpha)
-        assert after == gap_stat(t, added).s_alpha(alpha)
+        assert before == _gap_stat(t.s, occupied_cells(t, pts)).s_alpha(alpha)
+        assert after == _gap_stat(t.s, occupied_cells(t, added)).s_alpha(alpha)
         assert ok
 
 
 class TestIsolatedCells:
     def test_hand_counts(self):
-        t = Tiling.from_grid(2500, 5)
+        t = Tiling(5)
         one = centers_of_cells(t, [13])
-        assert isolated_cell_count(t, one) == 1
+        assert _isolated_count(t.s, occupied_cells(t, one)) == 1
         # adjacent cells shield each other
         pair = centers_of_cells(t, [1, 2])
-        assert isolated_cell_count(t, pair) == 0
+        assert _isolated_count(t.s, occupied_cells(t, pair)) == 0
         # two opposite corners are both isolated
         corners = centers_of_cells(t, [1, 25])
-        assert isolated_cell_count(t, corners) == 2
+        assert _isolated_count(t.s, occupied_cells(t, corners)) == 2
 
     @given(s=st.integers(1, 9), n=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200)
     def test_counts_the_cells_with_no_occupied_neighbour(self, s, n, seed):
         rng = np.random.default_rng(seed)
-        t = Tiling.from_grid(100, s)
+        t = Tiling(s)
         pts = rng.random((n, 2))
         pts[: n // 3] = rng.integers(0, s + 1, (n // 3, 2)) / s  # on gridlines
         occupied = set()
         for index in cells_of(t, pts).tolist():
-            r = cell_rect(t, index)
-            occupied.add((round(r.xmin * s), round(r.ymin * s)))
+            occupied.add(_snake_cell(s, index))
         lonely = sum(
             not any((c + dc, r + dr) in occupied
                     for dc in (-1, 0, 1) for dr in (-1, 0, 1) if dc or dr)
             for c, r in occupied
         )
-        assert isolated_cell_count(t, pts) == lonely
+        assert _isolated_count(t.s, occupied_cells(t, pts)) == lonely
 
     def test_diagonal_neighbour_blocks(self):
-        t = Tiling.from_grid(2500, 5)
+        t = Tiling(5)
         # snake 1 is (col 0, row 0); the odd column runs bottom-up, so
         # snake 9 is (col 1, row 1): they touch at a corner only
         pts = centers_of_cells(t, [1, 9])
-        assert isolated_cell_count(t, pts) == 0
+        assert _isolated_count(t.s, occupied_cells(t, pts)) == 0
 
 
 class TestDeterministicBounds:
@@ -376,7 +385,7 @@ class TestDeterministicBounds:
 
     def test_tiled_upper_single_cell_is_tight(self):
         # two points in one cell: the constructed tree is the only edge
-        t = Tiling.from_grid(100, 4)
+        t = Tiling(4)
         pts = np.array([[0.05, 0.05], [0.10, 0.05]])
         rep = tiled_upper_bound(euclidean_spec(), t, pts, 1.0)
         assert rep.w_uni == pytest.approx(0.05)
@@ -488,13 +497,15 @@ class TestOneCellPass:
         assert calls == [201]  # the base set and the added point together
 
     def test_records_match_the_separate_statistics(self):
-        # the study task's G and S_alpha are those of the public functions
+        # the study task's G and S_alpha are those of the grid statistics
+        # on the sampled points
         n, seed = 500, 8
         out = _study_task(("shifted", n, 1, seed, (0.5, 2.0)))
         pts = sample_binomial(n, Density.uniform(), seed, key=(n, 1)).coords
         t = build_tiling(n)
-        assert out[3] == {a: gap_stat(t, pts).s_alpha(a) for a in (0.5, 2.0)}
-        assert out[4] == isolated_cell_count(t, pts)
+        occ = occupied_cells(t, pts)
+        assert out[3] == {a: _gap_stat(t.s, occ).s_alpha(a) for a in (0.5, 2.0)}
+        assert out[4] == _isolated_count(t.s, occ)
 
 
 class TestProp1:
@@ -928,6 +939,42 @@ class TestStudyWorkers:
             run_weight_study("euclidean", (32, 48), 3, (1.0,), threads=3)
         assert_no_child_left()
         assert open_fds() == fds
+
+    def test_a_child_killed_holding_the_lock_cannot_hang_the_call(self):
+        # a caller blocked on a lock nobody will give back ignores SIGALRM,
+        # so the scenario runs in its own process under a timeout
+        code = textwrap.dedent("""
+            import fcntl, os, signal
+            from locmst.experiments import _fork_map
+
+            parent = os.getpid()
+
+            def dies_holding(take, takes_lock):
+                def taken(*args):
+                    out = take(*args)
+                    if os.getpid() != parent and takes_lock(*args):
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    return out
+                return taken
+
+            # a child dies right after it takes the claim lock, whichever
+            # call takes it: a record lock, or a read of a one-byte token
+            fcntl.lockf = dies_holding(fcntl.lockf,
+                                       lambda f, cmd: cmd == fcntl.LOCK_EX)
+            os.read = dies_holding(os.read, lambda fd, size: True)
+            try:
+                _fork_map(abs, list(range(20)), 2)
+            except ChildProcessError as exc:
+                print(exc)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("was killed by SIGKILL\n")
 
     def test_an_exception_here_stops_and_reaps_the_children(self, tmp_path,
                                                             deadline):

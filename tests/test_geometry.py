@@ -18,13 +18,11 @@ from locmst.geometry import (
     NoAdmissibleAError,
     Rect,
     Tiling,
+    _snake_cell,
     build_tiling,
-    cell_of,
-    cell_rect,
     cells_of,
     occupied_cells,
     snake_index,
-    snake_order,
 )
 
 
@@ -54,6 +52,11 @@ def _walk_position(s: int) -> dict[tuple[int, int], int]:
     return {cell: pos for pos, cell in enumerate(snake_walk_oracle(s), start=1)}
 
 
+def cell_of(t: Tiling, x: float, y: float) -> int:
+    """`cells_of` on one point."""
+    return int(cells_of(t, np.array([[x, y]]))[0])
+
+
 def cell_oracle(s: int, x: float, y: float) -> int:
     """The larger snake index among the cells that share the point."""
     pos = _walk_position(s)
@@ -76,15 +79,14 @@ def test_snake_index_matches_walk(s):
 
 @pytest.mark.parametrize("s", range(1, 41))
 def test_snake_order_matches_walk(s):
-    order = snake_order(s)
-    assert order.shape == (s * s, 2)
-    assert order.dtype == np.int64
-    assert [tuple(r) for r in order] == snake_walk_oracle(s)
+    cols, rows = _snake_cell(s, np.arange(1, s * s + 1))
+    assert cols.dtype == rows.dtype == np.int64
+    assert list(zip(cols.tolist(), rows.tolist())) == snake_walk_oracle(s)
 
 
 @given(s=st.integers(min_value=2, max_value=30))
 def test_consecutive_snake_cells_share_a_side(s):
-    order = snake_order(s)
+    order = np.stack(_snake_cell(s, np.arange(1, s * s + 1)), axis=1)
     steps = np.abs(np.diff(order, axis=0)).sum(axis=1)
     assert (steps == 1).all()
 
@@ -93,15 +95,14 @@ def test_build_tiling_picks_largest_grid_in_window():
     # sqrt(10000)/100 = 1.0 exactly, so a_target=1 is hit on the nose.
     t = build_tiling(10_000, 1.0)
     assert t.s == 100
-    assert t.a_n == pytest.approx(1.0)
+    assert math.sqrt(10_000) / t.s == 1.0
     assert t.cell_side == pytest.approx(0.01)
 
     # sqrt(500)/22 = 1.0163..., the smallest admissible value above 1.
     t = build_tiling(500, 1.0)
     assert t.s == 22
-    assert t.a_n == pytest.approx(np.sqrt(500) / 22)
     lo, hi = 1.0, 1.0 + 1.0 / np.log(500)
-    assert lo <= t.a_n <= hi
+    assert lo <= math.sqrt(500) / t.s <= hi
 
 
 @given(n=st.integers(min_value=10, max_value=200_000))
@@ -109,8 +110,7 @@ def test_build_tiling_picks_largest_grid_in_window():
 def test_build_tiling_window_and_integrality(n):
     t = build_tiling(n, 1.0)
     assert t.s >= 1
-    assert t.a_n == pytest.approx(np.sqrt(n) / t.s)
-    assert 1.0 <= t.a_n <= 1.0 + 1.0 / np.log(n) + 1e-12
+    assert 1.0 <= math.sqrt(n) / t.s <= 1.0 + 1.0 / np.log(n) + 1e-12
 
 
 def test_build_tiling_no_admissible_grid():
@@ -121,7 +121,7 @@ def test_build_tiling_no_admissible_grid():
 
 
 def test_cell_of_interior_points():
-    t = Tiling.from_grid(100, 4)
+    t = Tiling(4)
     # cell side 0.25; column 1, top row -> snake index 8 in a 4-grid
     assert cell_of(t, 0.30, 0.95) == snake_index(4, 1, 0)
     assert cell_of(t, 0.05, 0.95) == snake_index(4, 0, 0)
@@ -129,7 +129,7 @@ def test_cell_of_interior_points():
 
 
 def test_cell_of_boundary_takes_larger_index():
-    t = Tiling.from_grid(100, 4)
+    t = Tiling(4)
     for y in (0.1, 0.6, 0.9):
         row_left = cell_of(t, 0.25 - 1e-12, y)
         row_right = cell_of(t, 0.25 + 1e-12, y)
@@ -141,7 +141,7 @@ def test_cell_of_boundary_takes_larger_index():
 
 
 def test_cell_of_outside_domain():
-    t = Tiling.from_grid(100, 4)
+    t = Tiling(4)
     for x, y in [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.01), (0.5, 1.5)]:
         with pytest.raises(ValueError):
             cell_of(t, x, y)
@@ -150,7 +150,7 @@ def test_cell_of_outside_domain():
 def test_cells_of_rejects_points_outside_the_unit_square():
     # these used to be clipped into cells 96, 8 and 8; the scalar lookup
     # rejects each of them, and so does the vectorized one now
-    t = Tiling.from_grid(100, 10)
+    t = Tiling(10)
     inside = [0.5, 0.5]
     for bad in ([1.53, 0.537], [-0.31, 0.217], [np.nan, 0.217], [0.2, 1.0 + 1e-12]):
         with pytest.raises(ValueError, match="outside the unit square"):
@@ -166,7 +166,7 @@ def test_cells_of_rejects_points_outside_the_unit_square():
 )
 @settings(max_examples=200)
 def test_cells_of_agrees_with_scalar_lookup(s, data):
-    t = Tiling.from_grid(100, s)
+    t = Tiling(s)
     n = data.draw(st.integers(min_value=1, max_value=20))
     # mix generic coordinates with exact gridline multiples, 0 and 1 too
     vals = st.one_of(
@@ -188,21 +188,12 @@ def test_cells_of_on_every_lattice_point(s):
     # every k/s with 0 and 1, so every inner line, corner and edge of the
     # grid, and the lattices of the neighbouring resolutions, whose points
     # fall near the lines but rarely on them
-    t = Tiling.from_grid(100, s)
+    t = Tiling(s)
     vals = sorted({k / m for m in (s, s + 1, 2 * s + 1) for k in range(m + 1)})
     x, y = np.meshgrid(vals, vals)
     pts = np.stack([x.ravel(), y.ravel()], axis=1)
     want = [cell_oracle(s, a, b) for a, b in pts.tolist()]
     assert cells_of(t, pts).tolist() == want
-
-
-@pytest.mark.parametrize("s", [1, 3, 6])
-def test_cell_rect_roundtrip(s):
-    t = Tiling.from_grid(100, s)
-    for index in range(1, s * s + 1):
-        r = cell_rect(t, index)
-        cx, cy = (r.xmin + r.xmax) / 2, (r.ymin + r.ymax) / 2
-        assert cell_of(t, cx, cy) == index
 
 
 @given(s=st.integers(1, 12), n=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
@@ -211,13 +202,13 @@ def test_occupied_cells_follow_the_scalar_lookup(s, n, seed):
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     pts[: n // 2] = rng.integers(0, s + 1, (n // 2, 2)) / s  # on gridlines
-    t = Tiling.from_grid(100, s)
+    t = Tiling(s)
     cells = sorted({cell_oracle(s, x, y) for x, y in pts.tolist()})
     assert occupied_cells(t, pts).tolist() == cells
 
 
 def test_occupied_cells():
-    t = Tiling.from_grid(100, 5)
+    t = Tiling(5)
     pts = np.array([[0.05, 0.05], [0.07, 0.07], [0.9, 0.9]])
     occ = occupied_cells(t, pts)
     assert len(occ) == 2

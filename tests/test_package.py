@@ -1,6 +1,7 @@
 """The package's export list and import path."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,36 @@ def test_export_list_matches_the_imports():
         and getattr(value, "__module__", "").startswith("locmst.")
     }
     assert imported == set(names)
+
+
+# Exports that nothing in the package or the benchmark calls, kept for the
+# reader: a reference oracle for the tree, and checks of two of the paper's
+# claims.
+EXPORTED_FOR_READERS = frozenset((
+    "verify_path_criterion",  # the O(n^2) path-criterion oracle
+    "geometric_moment_upper_bound",  # the moment bound's closed form
+    "gap_stat_monotonicity",  # S_alpha under one added point
+))
+
+
+def test_every_export_is_used_outside_its_definition():
+    # a name only tests reach is not exported: each one appears in another
+    # module of the package, or in the benchmark, or in the list above
+    files = [path for path in (ROOT / "src" / "locmst").glob("*.py")
+             if path.name != "__init__.py"]
+    files += (ROOT / "perfbench").glob("*.py")
+    lines = [line for path in files
+             for line in path.read_text(encoding="utf-8").splitlines()]
+    unused = [
+        name for name in locmst.__all__
+        if name not in EXPORTED_FOR_READERS and not any(
+            re.search(rf"\b{name}\b", line)
+            and not re.match(rf"(def|class) {name}\b", line)
+            for line in lines
+        )
+    ]
+    assert unused == []
+    assert EXPORTED_FOR_READERS <= set(locmst.__all__)
 
 
 def test_importing_the_cli_loads_no_scipy():
