@@ -23,7 +23,6 @@ import sys
 import tempfile
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,39 +61,18 @@ class EmptyPointSetError(ValueError):
 # Gap statistics over the snake order
 
 
-@dataclass(frozen=True)
-class GapStat:
-    """Occupied snake indices and the gaps between them.
+def _gaps(s: int, occ: np.ndarray) -> list[int]:
+    """The snake gaps of sorted unique occupied indices, as Python ints.
 
-    gaps[0] = i_1 - 1, middle gaps are successive differences, and the
-    last gap is s^2 - i_Q; they always sum to s^2 - 1.  The empty
-    configuration is represented by the single gap s^2 - 1.
+    The first gap is i_1 - 1, the middle ones are successive differences,
+    and the last is s^2 - i_Q; they always sum to s^2 - 1.  With no cell
+    occupied there is the single gap s^2 - 1.  S_alpha is
+    ``_power_sum(gaps, alpha)``, the exactly rounded sum that prices every
+    tree score; a zero gap adds 0.
     """
-
-    s: int
-    occupied: tuple[int, ...]
-    gaps: tuple[int, ...]
-
-    def s_alpha(self, alpha: float) -> float:
-        # Every finite float is m / d with d a power of two up to 2**1074,
-        # so the sum of count * g**alpha over the distinct gaps is exact in
-        # integers, and int / int rounds it once: the exactly rounded
-        # math.fsum over every gap's Python pow, bit for bit, with one pow
-        # per distinct gap.
-        total = 0
-        for g, count in Counter(self.gaps).items():
-            if g:  # gaps >= 0
-                m, d = pow(float(g), alpha).as_integer_ratio()
-                total += count * m << 1075 - d.bit_length()
-        return total / (1 << 1074)
-
-
-def _gap_stat(s: int, occ: np.ndarray) -> GapStat:
-    """The gaps between sorted unique occupied snake indices."""
     if len(occ) == 0:
-        return GapStat(s=s, occupied=(), gaps=(s * s - 1,))
-    gaps = (int(occ[0]) - 1, *(occ[1:] - occ[:-1]).tolist(), s * s - int(occ[-1]))
-    return GapStat(s=s, occupied=tuple(occ.tolist()), gaps=gaps)
+        return [s * s - 1]
+    return [int(occ[0]) - 1, *(occ[1:] - occ[:-1]).tolist(), s * s - int(occ[-1])]
 
 
 def gap_stat_monotonicity(
@@ -109,8 +87,8 @@ def gap_stat_monotonicity(
     coords = np.asarray(coords, dtype=float).reshape(-1, 2)
     added = np.vstack([coords, np.asarray(extra, dtype=float).reshape(1, 2)])
     cells = cells_of(tiling, added)  # the added point's cell comes last
-    before = _gap_stat(tiling.s, np.unique(cells[:-1])).s_alpha(alpha)
-    after = _gap_stat(tiling.s, np.unique(cells)).s_alpha(alpha)
+    before = _power_sum(_gaps(tiling.s, np.unique(cells[:-1])), alpha)
+    after = _power_sum(_gaps(tiling.s, np.unique(cells)), alpha)
     tol = 1e-9 * max(1.0, before)
     if alpha <= 1.0:
         return after >= before - tol, before, after
@@ -122,11 +100,16 @@ def gap_stat_monotonicity(
 
 
 def _isolated_count(s: int, occ: np.ndarray) -> int:
-    """Occupied cells, given as sorted unique snake indices, whose 8
+    """G: occupied cells, given as sorted unique snake indices, whose 8
     corner-sharing neighbours are all empty.
 
-    Cells on the grid boundary just use the neighbours they have.
+    Cells on the grid boundary just use the neighbours they have.  An
+    isolated cell forces an edge at least one cell side long only when
+    there are nodes outside it: with fewer than two occupied cells the
+    tree is internal and nothing is forced, so G is 0.
     """
+    if len(occ) < 2:
+        return 0
     padded = np.zeros((s + 2, s + 2), dtype=np.uint8)
     grid = padded[1:-1, 1:-1]
     grid[_snake_cell(s, occ)] = 1
@@ -150,10 +133,8 @@ def lower_bound_stat(
 
     Every isolated occupied cell must reach the rest of the configuration
     with an edge at least one cell side long, and an edge can serve two
-    such cells.  The forcing argument needs nodes outside the cell: when
-    the whole configuration sits in a single cell the tree is internal
-    and nothing is forced, so G counts zero there.  Point sets of size
-    one are rejected outright.
+    such cells (`_isolated_count`).  Point sets of size one are rejected
+    outright.
     """
     _check_alphas((alpha,))
     coords = np.asarray(coords, dtype=float)
@@ -162,7 +143,7 @@ def lower_bound_stat(
     if len(coords) == 0:
         return LowerBoundReport(g_count=0, bound=0.0, mst_weight=0.0, holds=True)
     occ = occupied_cells(tiling, coords)
-    g = _isolated_count(tiling.s, occ) if len(occ) >= 2 else 0
+    g = _isolated_count(tiling.s, occ)
     bound = 0.5 * (spec.c1 * tiling.cell_side) ** alpha * g
     w = minimum_spanning_tree(spec, coords).total_weight(alpha)
     return LowerBoundReport(
@@ -204,7 +185,7 @@ def tiled_upper_bound(
     b = np.concatenate([order[~first], reps[1:]])
     # math.fsum is exactly rounded, so the edge order does not matter
     w_uni = _power_sum(row_weight_fn(spec, coords)(a, b).tolist(), alpha)
-    s_alpha = _gap_stat(tiling.s, cell[first]).s_alpha(alpha)
+    s_alpha = _power_sum(_gaps(tiling.s, cell[first]), alpha)
     rhs = (2.0 * spec.c2 * tiling.cell_side) ** alpha * (n + s_alpha)
     w = minimum_spanning_tree(spec, coords).total_weight(alpha)
     holds = w <= w_uni + 1e-12 and w_uni <= rhs + 1e-12
@@ -645,11 +626,11 @@ def _study_task(args) -> tuple:
     tiling = build_tiling(n)
     result = minimum_spanning_tree(spec_from_kind(kind), coords)
     occ = occupied_cells(tiling, coords)
-    gs = _gap_stat(tiling.s, occ)
+    gaps = _gaps(tiling.s, occ)
     g_count = _isolated_count(tiling.s, occ)
     weights = result.base_weights.tolist()  # once for every alpha
     totals = {a: _power_sum(weights, a) for a in alphas}
-    s_alphas = {a: gs.s_alpha(a) for a in alphas}
+    s_alphas = {a: _power_sum(gaps, a) for a in alphas}
     runtime_ms = (time.perf_counter() - t0) * 1e3
     return (n, rep, totals, s_alphas, g_count, result.max_degree, runtime_ms)
 

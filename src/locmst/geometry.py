@@ -59,6 +59,10 @@ class Tiling:
 
     s: int
 
+    def __post_init__(self):
+        if not isinstance(self.s, (int, np.integer)) or self.s < 1:
+            raise ValueError(f"the resolution must be an integer >= 1, got {self.s!r}")
+
     @property
     def cell_side(self) -> float:
         return 1.0 / self.s

@@ -115,7 +115,6 @@ from .weights import (
     DegenerateEdgeError,
     WeightSpec,
     _weight_fns,
-    in_central_cells,
     row_weight_fn,
 )
 
@@ -651,9 +650,10 @@ def _band_forest(weights, coords, lo, cell, comp, n_comp, cheap, limit, stalled)
     point, it starts from all points: two windows each then yield each
     pair once, at less cost than three windows from most points, and
     pairs inside one component are dropped.  The pair set is the same
-    either way.  Pairs with a discount end come from that end's full row
-    instead.  ``weights`` is the pair (row, price) of `_weight_fns`: the
-    searched pairs are priced distance first, the rows by ``row``.
+    either way.  Pairs with a discount end, one marked in ``cheap`` (None
+    for kinds without discounts), come from that end's full row instead.
+    ``weights`` is the pair (row, price) of `_weight_fns`: the searched
+    pairs are priced distance first, the rows by ``row``.
 
     After a ``stalled`` band, one that joined no two components, with at
     most _FINISH_STRAGGLERS points outside the largest component, the band
@@ -668,7 +668,7 @@ def _band_forest(weights, coords, lo, cell, comp, n_comp, cheap, limit, stalled)
     weigh, price = weights
     n = len(comp)
     singles = n_comp == n
-    has_cheap = cheap.any()
+    has_cheap = cheap is not None and cheap.any()
     found = []
 
     def keep(s, p, h):  # stored as int32 pairs
@@ -697,7 +697,7 @@ def _band_forest(weights, coords, lo, cell, comp, n_comp, cheap, limit, stalled)
             if has_cheap:  # a pair with a discount end comes from that end's row
                 s, p = _select(~(cheap.take(s) | cheap.take(p)), s, p)
             keep(*price(s, p, limit))
-        for k in np.flatnonzero(cheap):
+        for k in np.flatnonzero(cheap) if has_cheap else ():
             other = comp != comp[k]
             other[:k] &= ~cheap[:k]
             p = np.flatnonzero(other)
@@ -741,10 +741,8 @@ def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     n = len(coords)
     if n <= 1:
         return _sorted_result(n)
-    weights = _weight_fns(spec, coords)
-    cheap = in_central_cells(spec, coords)
-    # taken from the weight functions themselves, not the declared band
-    lam = spec.c2 if spec.kind == "hotspot" else 1.0
+    # lam is taken from the weight functions themselves, not the declared band
+    row, price, lam, cheap = _weight_fns(spec, coords)
     # column by column: numpy's reduction along axis 0 of an (n, 2) array
     # is about 12 times slower than one over each strided column
     x, y = coords[:, 0], coords[:, 1]
@@ -761,7 +759,7 @@ def mst_bands(spec: WeightSpec, coords: np.ndarray) -> MstResult:
     while n_comp > 1:
         limit = lam * radius * (1.0 - _BAND_SLACK)
         edges, left, comp = _band_forest(
-            weights, coords, lo, radius, comp, n_comp, cheap, limit, stalled
+            (row, price), coords, lo, radius, comp, n_comp, cheap, limit, stalled
         )
         stalled = left == n_comp
         n_comp = left

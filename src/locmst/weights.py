@@ -54,12 +54,8 @@ class DegenerateEdgeError(ValueError):
 
 @dataclass(frozen=True)
 class HotspotLevel:
-    index: int
     n_level: int
-    q: float
-    cell_side: float
     big: Rect
-    inner: Rect
     cells: tuple[Rect, ...]  # cells[0] is the central cell
 
     @property
@@ -116,10 +112,7 @@ def build_hotspot_layout(K: int, n_levels: int = 3) -> HotspotLayout:
             cells.append(Rect(x0, y0, x0 + x, y0 + x))
         assert len(cells) == 4 * K - 3
         levels.append(
-            HotspotLevel(
-                index=i, n_level=n_i, q=q, cell_side=x, big=big, inner=inner,
-                cells=tuple(cells),
-            )
+            HotspotLevel(n_level=n_i, big=big, cells=tuple(cells))
         )
         t += 10 * q
     if t > 1.0 + 1e-12:
@@ -241,16 +234,20 @@ def row_weight_fn(spec: WeightSpec, coords: np.ndarray):
 
 
 def _weight_fns(spec: WeightSpec, coords: np.ndarray):
-    """``row_weight_fn``'s callable and the band solver's pricer, over one
-    copy of the coordinates.
+    """The whole pricing contract of the band solver, over one copy of the
+    coordinates: ``(row, price, lam, cheap)``.
 
-    ``price(i, j, limit)`` returns (i, j, h) for the pairs of the index
-    arrays with h < limit.  It prices the distance d of every pair first
-    and lifts it only where that can matter: h >= d for every kind, so a
-    shifted pair with d >= limit is never kept, and hotspot pairs reach it
-    only without a discount end (`mst_bands` takes the others from full
-    rows), so their h is c2 * d.  The kept h are those of ``row``, bit for
-    bit: the same operations in the same order.
+    ``row`` is ``row_weight_fn``'s callable.  ``lam`` is a constant with
+    h >= lam * d for every pair without a discount end, and ``cheap`` is
+    the mask of points in a discount cell, or None for kinds without
+    discounts.  Pairs with a cheap end are the caller's to take from full
+    rows: ``price(i, j, limit)`` returns (i, j, h) for the pairs of the
+    index arrays with h < limit, pricing only pairs without one.  It
+    prices the distance d of every pair first and lifts it only where
+    that can matter: a shifted pair with d >= limit is never kept, since
+    h >= d, and a hotspot pair without a discount end has h = c2 * d.
+    The kept h are those of ``row``, bit for bit: the same operations in
+    the same order.
     """
     coords = np.asarray(coords, dtype=float)
     xs, ys = coords[:, 0].copy(), coords[:, 1].copy()
@@ -265,7 +262,7 @@ def _weight_fns(spec: WeightSpec, coords: np.ndarray):
         return i[at], j[at], h[at]
 
     if spec.kind == "euclidean":
-        return dist, lambda i, j, limit: below(i, j, dist(i, j), limit)
+        return dist, lambda i, j, limit: below(i, j, dist(i, j), limit), 1.0, None
     if spec.kind == "shifted":
         r = np.sqrt(xs * xs + ys * ys)  # distance from (0, 0)
 
@@ -279,11 +276,11 @@ def _weight_fns(spec: WeightSpec, coords: np.ndarray):
             i, j, d = below(i, j, dist(i, j), limit)
             return below(i, j, lift(i, j, d), limit)
 
-        return row, price
+        return row, price, 1.0, None
     cheap = in_central_cells(spec, coords)
     c1, c2 = spec.c1, spec.c2
 
     def row(i, j=slice(None)) -> np.ndarray:
         return dist(i, j) * np.where(cheap[i] | cheap[j], c1, c2)
 
-    return row, lambda i, j, limit: below(i, j, dist(i, j) * c2, limit)
+    return row, lambda i, j, limit: below(i, j, dist(i, j) * c2, limit), c2, cheap

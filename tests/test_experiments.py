@@ -19,11 +19,10 @@ from hypothesis import given, settings, strategies as st
 from locmst.experiments import (
     _POOL_MIN_POINTS,
     EmptyPointSetError,
-    GapStat,
     StudyResult,
     _event_log10,
     _fork_map,
-    _gap_stat,
+    _gaps,
     _isolated_count,
     _ols_loglog,
     _sample_in_rect,
@@ -49,6 +48,7 @@ from locmst.geometry import (
 )
 from locmst.mst import (
     DuplicatePointsError,
+    _power_sum,
     minimum_spanning_tree,
     mst_with_point,
     scale_check,
@@ -136,24 +136,25 @@ class TestGapStat:
     def test_hand_example(self):
         t = Tiling(4)
         pts = centers_of_cells(t, [3, 9])
-        gs = _gap_stat(t.s, occupied_cells(t, pts))
-        assert gs.occupied == (3, 9)
-        assert gs.gaps == (2, 6, 7)
-        assert gs.s_alpha(1.0) == pytest.approx(15.0)
-        assert gs.s_alpha(2.0) == pytest.approx(4 + 36 + 49)
+        occ = occupied_cells(t, pts)
+        assert occ.tolist() == [3, 9]
+        gaps = _gaps(t.s, occ)
+        assert gaps == [2, 6, 7]
+        assert _power_sum(gaps, 1.0) == pytest.approx(15.0)
+        assert _power_sum(gaps, 2.0) == pytest.approx(4 + 36 + 49)
 
     def test_empty_configuration(self):
         t = Tiling(4)
-        gs = _gap_stat(t.s, occupied_cells(t, np.empty((0, 2))))
-        assert gs.gaps == (15,)
-        assert gs.s_alpha(0.5) == pytest.approx(math.sqrt(15))
+        gaps = _gaps(t.s, occupied_cells(t, np.empty((0, 2))))
+        assert gaps == [15]
+        assert _power_sum(gaps, 0.5) == pytest.approx(math.sqrt(15))
 
     def test_zero_gaps_are_dropped_from_the_sum(self):
         t = Tiling(3)
         pts = centers_of_cells(t, [1, 9])
-        gs = _gap_stat(t.s, occupied_cells(t, pts))
-        assert gs.gaps[0] == 0  # first occupied cell is snake index 1
-        assert gs.s_alpha(1.0) == pytest.approx(8.0)
+        gaps = _gaps(t.s, occupied_cells(t, pts))
+        assert gaps[0] == 0  # first occupied cell is snake index 1
+        assert _power_sum(gaps, 1.0) == pytest.approx(8.0)
 
     def test_same_python_ints_and_sums_as_the_elementwise_loops(self):
         # the vectorised gaps and the map(pow) sum must match the plain
@@ -162,24 +163,24 @@ class TestGapStat:
         for n, s in ((1, 4), (20, 5), (300, 17), (2000, 45)):
             t = Tiling(s)
             pts = rng.random((n, 2))
-            gs = _gap_stat(t.s, occupied_cells(t, pts))
+            cells = occupied_cells(t, pts)
+            gaps = _gaps(t.s, cells)
             occ = tuple(int(i) for i in np.unique(cells_of(t, pts)))
-            assert gs.occupied == occ
+            assert tuple(cells.tolist()) == occ
             want = [occ[0] - 1]
             want.extend(b - a for a, b in zip(occ[:-1], occ[1:]))
             want.append(s * s - occ[-1])
-            assert gs.gaps == tuple(want)
-            assert all(type(v) is int for v in gs.occupied + gs.gaps)
+            assert gaps == want
+            assert all(type(v) is int for v in gaps)
             for alpha in (0.5, 0.7, 1, 2, 3, 1.0, 2.0, 3.0):
-                loop = math.fsum(float(g) ** alpha for g in gs.gaps if g > 0)
-                assert gs.s_alpha(alpha) == loop
+                loop = math.fsum(float(g) ** alpha for g in gaps if g > 0)
+                assert _power_sum(gaps, alpha) == loop
 
     def test_s_alpha_is_pinned_on_many_equal_gaps_of_mixed_magnitude(self):
         # counts whose count * g**alpha rounds, beside gaps from 1 to 1e9:
-        # the histogram's exact terms must give the fsum over every gap
+        # the sum must be the exactly rounded fsum over every gap
         gaps = ((0,) * 5 + (1,) * 50_000 + (7,) * 3_001 + (12_345,) * 17
                 + (10**9 + 7,) + (3,) * 99_999 + (2, 5, 11))
-        gs = GapStat(s=1, occupied=(), gaps=gaps)
         pins = {
             0.3: "0x1.7d45653ebdd74p+17", 0.5: "0x1.0275750d90ebdp+18",
             1.0: "0x1.dd1d38f000000p+29", 1.5: "0x1.cc2c1d0246edbp+44",
@@ -187,17 +188,18 @@ class TestGapStat:
             3.7: "0x1.897f01aa95e7dp+110", 17.0: "0x1.317e615595578p+508",
         }
         for alpha, want in pins.items():
-            assert gs.s_alpha(alpha).hex() == want
-            assert gs.s_alpha(alpha) == math.fsum(float(g) ** alpha for g in gaps if g)
+            got = _power_sum(gaps, alpha)
+            assert got.hex() == want
+            assert got == math.fsum(float(g) ** alpha for g in gaps if g)
 
     @given(seed=st.integers(0, 99_999), n=st.integers(1, 60))
     @settings(max_examples=150)
     def test_gaps_partition_the_snake(self, seed, n):
         t = Tiling(50)
         pts = np.random.default_rng(seed).random((n, 2))
-        gs = _gap_stat(t.s, occupied_cells(t, pts))
-        assert sum(gs.gaps) == 50 * 50 - 1
-        assert all(g >= 0 for g in gs.gaps)
+        gaps = _gaps(t.s, occupied_cells(t, pts))
+        assert sum(gaps) == 50 * 50 - 1
+        assert all(g >= 0 for g in gaps)
 
     @given(
         seed=st.integers(0, 99_999),
@@ -227,10 +229,10 @@ class TestGapStat:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_monotonicity_equals_two_full_gap_stats(self, where, alpha):
         # both sets come from one cell map of the base set and the added
-        # point; the sums must be those of _gap_stat on each set
+        # point; the sums must be those of the gaps of each set
         t = Tiling(6)
         pts = np.random.default_rng(5).random((9, 2))
-        occupied = _gap_stat(t.s, occupied_cells(t, pts)).occupied
+        occupied = occupied_cells(t, pts).tolist()
         free = min(set(range(1, 37)) - set(occupied))
         extra = {
             "occupied": pts[3] + 1e-9,
@@ -247,16 +249,17 @@ class TestGapStat:
             assert cells_of(t, [extra]).tolist() == cells_of(t, pts[3:4]).tolist()
         added = np.vstack([pts, extra])
         ok, before, after = gap_stat_monotonicity(t, pts, alpha, extra)
-        assert before == _gap_stat(t.s, occupied_cells(t, pts)).s_alpha(alpha)
-        assert after == _gap_stat(t.s, occupied_cells(t, added)).s_alpha(alpha)
+        assert before == _power_sum(_gaps(t.s, occupied_cells(t, pts)), alpha)
+        assert after == _power_sum(_gaps(t.s, occupied_cells(t, added)), alpha)
         assert ok
 
 
 class TestIsolatedCells:
     def test_hand_counts(self):
         t = Tiling(5)
+        # one occupied cell forces no edge, so it counts zero
         one = centers_of_cells(t, [13])
-        assert _isolated_count(t.s, occupied_cells(t, one)) == 1
+        assert _isolated_count(t.s, occupied_cells(t, one)) == 0
         # adjacent cells shield each other
         pair = centers_of_cells(t, [1, 2])
         assert _isolated_count(t.s, occupied_cells(t, pair)) == 0
@@ -278,7 +281,7 @@ class TestIsolatedCells:
             not any((c + dc, r + dr) in occupied
                     for dc in (-1, 0, 1) for dr in (-1, 0, 1) if dc or dr)
             for c, r in occupied
-        )
+        ) if len(occupied) >= 2 else 0
         assert _isolated_count(t.s, occupied_cells(t, pts)) == lonely
 
     def test_diagonal_neighbour_blocks(self):
@@ -504,8 +507,25 @@ class TestOneCellPass:
         pts = sample_binomial(n, Density.uniform(), seed, key=(n, 1)).coords
         t = build_tiling(n)
         occ = occupied_cells(t, pts)
-        assert out[3] == {a: _gap_stat(t.s, occ).s_alpha(a) for a in (0.5, 2.0)}
+        assert out[3] == {a: _power_sum(_gaps(t.s, occ), a) for a in (0.5, 2.0)}
         assert out[4] == _isolated_count(t.s, occ)
+
+    def test_study_records_respect_their_own_lower_bound(self):
+        # every n = 3 instance sits in the one cell of build_tiling(3), so
+        # its G must be lower_bound_stat's 0, not 1, or the record breaks
+        # G/2 * (c1 * side)**alpha <= MST
+        spec = euclidean_spec()
+        study = run_weight_study("euclidean", (3, 4, 5, 6), 30, (1.0, 2.0),
+                                 seed=0, threads=1)
+        assert len(study.records) == 240
+        for rec in study.records:
+            n, a = rec["n"], rec["alpha"]
+            t = build_tiling(n)
+            bound = rec["g_alpha"] / 2 * (spec.c1 * t.cell_side) ** a
+            assert bound <= rec["mst_weight"] + 1e-12, rec
+            pts = sample_binomial(n, Density.uniform(), 0,
+                                  key=(n, rec["replicate"])).coords
+            assert rec["g_alpha"] == lower_bound_stat(spec, t, pts, a).g_count
 
 
 class TestProp1:

@@ -120,6 +120,13 @@ def test_build_tiling_no_admissible_grid():
         build_tiling(100, 2.9)
 
 
+@pytest.mark.parametrize("s", [0, -2, 2.5])
+def test_tiling_refuses_a_resolution_that_is_not_a_positive_integer(s):
+    # Tiling(0) and Tiling(-2) would map points to cells that do not exist
+    with pytest.raises(ValueError, match="resolution"):
+        Tiling(s)
+
+
 def test_cell_of_interior_points():
     t = Tiling(4)
     # cell side 0.25; column 1, top row -> snake index 8 in a 4-grid

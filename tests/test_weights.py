@@ -92,10 +92,14 @@ class TestHotspotLayout:
             for i in (1, 2, 3):
                 lv = layout.level(i)
                 assert lv.n_level == D * i**3
-                assert lv.q == pytest.approx(
-                    (2 * K - 1) / math.sqrt(lv.n_level)
+                # the big square's side is 10 q with q = (2K - 1) / sqrt(n_i)
+                assert lv.big.xmax - lv.big.xmin == pytest.approx(
+                    10 * (2 * K - 1) / math.sqrt(lv.n_level)
                 )
-                assert lv.cell_side == pytest.approx(1 / math.sqrt(lv.n_level))
+                for cell in lv.cells:  # each of side 1 / sqrt(n_i)
+                    assert cell.xmax - cell.xmin == pytest.approx(
+                        1 / math.sqrt(lv.n_level)
+                    )
                 assert len(lv.cells) == 4 * K - 3
 
     def test_big_squares_tile_the_diagonal(self):
@@ -116,21 +120,26 @@ class TestHotspotLayout:
     def test_cells_sit_on_the_inner_square(self):
         layout = build_hotspot_layout(3, n_levels=1)
         lv = layout.level(1)
-        x = lv.cell_side
+        # the inner square, side q = (2K - 1) x, shares the big square's
+        # centre: it spans [lo, hi] on both axes
+        x = 1 / math.sqrt(lv.n_level)
+        q = (2 * 3 - 1) * x
+        mid = (lv.big.xmin + lv.big.xmax) / 2
+        lo, hi = mid - q / 2, mid + q / 2
         central = lv.cells[0]
-        mid_inner = (lv.inner.xmin + lv.inner.xmax) / 2
-        assert (central.xmin + central.xmax) / 2 == pytest.approx(mid_inner)
-        slack = 1e-9 * lv.q
+        assert (central.xmin + central.xmax) / 2 == pytest.approx(mid)
+        assert (central.ymin + central.ymax) / 2 == pytest.approx(mid)
+        slack = 1e-9 * q
         for cell in lv.cells:
             assert cell.xmax - cell.xmin == pytest.approx(x)
-            assert cell.xmin >= lv.inner.xmin - slack
-            assert cell.ymin >= lv.inner.ymin - slack
-            assert cell.xmax <= lv.inner.xmax + slack
-            assert cell.ymax <= lv.inner.ymax + slack
+            assert cell.xmin >= lo - slack
+            assert cell.ymin >= lo - slack
+            assert cell.xmax <= hi + slack
+            assert cell.ymax <= hi + slack
         # boundary cells hug the inner perimeter at even grid offsets
         for cell in lv.cells[1:]:
-            gx = (cell.xmin - lv.inner.xmin) / x
-            gy = (cell.ymin - lv.inner.ymin) / x
+            gx = (cell.xmin - lo) / x
+            gy = (cell.ymin - lo) / x
             assert round(gx) % 2 == 0 and round(gy) % 2 == 0
             assert (
                 min(round(gx), round(gy)) == 0
@@ -208,7 +217,7 @@ def band_points() -> np.ndarray:
 
 @pytest.mark.parametrize("kind", ["euclidean", "hotspot", "shifted"])
 def test_every_pair_lies_in_its_band_exactly(kind):
-    # c1 d <= h <= c2 d, and h >= lam d with lam as mst_bands sets it, hold
+    # c1 d <= h <= c2 d, and h >= lam d with the lam of _weight_fns, hold
     # bit for bit over every pair; mst_bands rests on the second
     spec = spec_from_kind(kind)
     pts = band_points()
@@ -227,7 +236,8 @@ def test_every_pair_lies_in_its_band_exactly(kind):
     discount = cheap[i] | cheap[j]
     # the three centres pair with the 64 other points, less 3 pairs counted twice
     assert discount.sum() == (3 * 64 - 3 if kind == "hotspot" else 0)
-    lam = spec.c2 if kind == "hotspot" else 1.0
+    lam = _weight_fns(spec, pts)[2]
+    assert lam == (spec.c2 if kind == "hotspot" else 1.0)
     assert (h[~discount] >= lam * d[~discount]).all()
     assert (h[discount] == spec.c1 * d[discount]).all()
 
@@ -243,7 +253,12 @@ def test_band_pricer_keeps_exactly_the_row_weights_below_the_limit(kind):
     cheap = in_central_cells(spec, pts)
     far = ~(cheap[i] | cheap[j])
     i, j = i[far].astype(np.int32), j[far].astype(np.int32)
-    row, price = _weight_fns(spec, pts)
+    row, price, _, mask = _weight_fns(spec, pts)
+    # the solver's discount mask; kinds without discounts have none
+    if kind == "hotspot":
+        assert mask.tolist() == cheap.tolist()
+    else:
+        assert mask is None
     h = row(i, j)
     assert h.tobytes() == row_weight_fn(spec, pts)(i, j).tobytes()
     d = row_weight_fn(euclidean_spec(), pts)(i, j)
